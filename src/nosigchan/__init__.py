@@ -25,6 +25,7 @@ from .channels import (
     identity_channel,
     instrument_sum,
     kraus_from_choi,
+    link,
     random_cptp,
     unitary_channel,
 )
@@ -54,7 +55,7 @@ __all__ = [
     "permute_systems", "ptrace", "ptranspose",
     "Channel", "ChannelError", "Instrument", "apply", "channel_from_kraus",
     "choi_from_map", "compose_par", "compose_seq", "identity_channel",
-    "instrument_sum", "kraus_from_choi", "random_cptp", "unitary_channel",
+    "instrument_sum", "kraus_from_choi", "link", "random_cptp", "unitary_channel",
     "RealizationSpec", "SignalingVerdict", "build_localizable",
     "build_realization_cc", "build_semilocalizable", "check_nosignaling_dir",
     "check_nosignaling_subset", "is_nosignaling", "signaling_verdict",

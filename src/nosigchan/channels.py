@@ -5,6 +5,7 @@ R = (C x Id)(|I>><<I|), factor order (outputs, inputs), so Tr R = dim(in).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
@@ -17,7 +18,6 @@ from .tensor import (
     eigh,
     kron,
     max_entangled_vec,
-    permute_to,
     ptrace,
 )
 
@@ -27,6 +27,7 @@ KRAUS_CUTOFF = 1e-12
 
 IN_TAG = "#in"
 OUT_TAG = "#out"
+_SEQ_WIRE = "#seq"
 
 
 class ChannelError(ValueError):
@@ -56,6 +57,8 @@ class Channel:
             raise ChannelError(
                 f"Choi shape {c.shape} does not match layouts (dim {n})"
             )
+        if not np.all(np.isfinite(c)):
+            raise ChannelError("Choi has non-finite entries")
         object.__setattr__(self, "choi", c)
 
     @property
@@ -70,10 +73,14 @@ class Channel:
         """Check complete positivity and trace preservation; returns self."""
         herm = np.max(np.abs(self.choi - self.choi.conj().T))
         if herm > cp_tol:
-            raise ChannelError(f"Choi not Hermitian: deviation {herm:.3e}")
+            raise ChannelError(
+                f"not completely positive: Choi not Hermitian ({herm:.3e})"
+            )
         w, _ = eigh(self.choi, tol=cp_tol * 10)
         if w[-1] < -cp_tol:
-            raise ChannelError(f"Choi not PSD: min eigenvalue {w[-1]:.3e}")
+            raise ChannelError(
+                f"not completely positive: min Choi eigenvalue {w[-1]:.3e}"
+            )
         dev = tp_residual(self.choi, self.out_layout, self.in_layout)
         if dev > tp_tol:
             raise ChannelError(f"not trace-preserving: residual {dev:.3e}")
@@ -167,38 +174,79 @@ def unitary_channel(u, in_layout: SystemLayout, out_layout: SystemLayout = None)
 
 def prepare_channel(sigma, out_layout: SystemLayout, in_layout: SystemLayout) -> Channel:
     """Discard the input and prepare the fixed state sigma."""
-    sigma = as_matrix(sigma)
-    return choi_from_map(lambda rho: np.trace(rho) * sigma, in_layout, out_layout)
+    return Channel(kron(sigma, np.eye(in_layout.total_dim)), in_layout, out_layout)
+
+
+def link(first: Channel, second: Channel, over: Sequence[str]) -> Channel:
+    """Link product: feed first's outputs named in `over` into second's inputs.
+
+    R[c,a;c',a'] = sum_{b,b'} R1[b,a;b',a'] R2[c,b;c',b'] over the wired legs b
+    (Chiribella, D'Ariano, Perinotti, PRA 80, 022339 (2009)).  Legs are matched
+    by the names in `over` only; every other leg passes through.  Outputs are
+    first's leftover outputs then second's; inputs are first's inputs then
+    second's leftover inputs.  over=() is the parallel composition.
+    """
+    for l in over:
+        if l not in first.out_layout.labels or l not in second.in_layout.labels:
+            raise ChannelError(f"cannot link over {l!r}: not an output of first "
+                               f"and an input of second")
+        if first.out_layout.dim(l) != second.in_layout.dim(l):
+            raise ChannelError(
+                f"cannot link over {l!r}: dimension {first.out_layout.dim(l)} "
+                f"vs {second.in_layout.dim(l)}"
+            )
+    out_layout = first.out_layout.drop(over).concat(second.out_layout)
+    in_layout = first.in_layout.concat(second.in_layout.drop(over))
+
+    # One (ket, bra) pair of einsum subscripts per leg; wired legs share theirs.
+    ids = itertools.count()
+
+    def fresh():
+        return next(ids), next(ids)
+
+    o1 = {l: fresh() for l in first.out_layout.labels}
+    i1 = {l: fresh() for l in first.in_layout.labels}
+    o2 = {l: fresh() for l in second.out_layout.labels}
+    i2 = {l: o1[l] if l in over else fresh() for l in second.in_layout.labels}
+
+    def subscripts(legs):
+        return [k for k, _ in legs] + [b for _, b in legs]
+
+    def operand(c, outs, ins):
+        legs = [outs[l] for l in c.out_layout.labels] + [ins[l] for l in c.in_layout.labels]
+        return c.choi.reshape(2 * (c.out_layout.dims + c.in_layout.dims)), subscripts(legs)
+
+    result_legs = (
+        [o1[l] for l in first.out_layout.labels if l not in over]
+        + list(o2.values())
+        + list(i1.values())
+        + [i2[l] for l in second.in_layout.labels if l not in over]
+    )
+    choi = np.einsum(
+        *operand(first, o1, i1), *operand(second, o2, i2), subscripts(result_legs),
+        optimize=True,
+    )
+    n = out_layout.total_dim * in_layout.total_dim
+    return Channel(choi.reshape(n, n), in_layout, out_layout)
 
 
 def compose_seq(first: Channel, second: Channel) -> Channel:
-    """Choi of (second o first), via Kraus products."""
+    """Choi of (second o first); first's outputs feed second's inputs in order."""
     if first.d_out != second.d_in:
         raise ChannelError(
             f"cannot chain: first output dim {first.d_out} vs second input dim {second.d_in}"
         )
-    k1 = kraus_from_choi(first)
-    k2 = kraus_from_choi(second)
-    prods = [b @ a for b in k2 for a in k1]
-    di, do = first.d_in, second.d_out
-    choi = np.zeros((do * di, do * di), dtype=complex)
-    for k in prods:
-        v = k.reshape(-1)
-        choi += np.outer(v, v.conj())
-    return Channel(choi, first.in_layout, second.out_layout)
+    wire = SystemLayout(((_SEQ_WIRE, first.d_out),))
+    return link(
+        Channel(first.choi, first.in_layout, wire),
+        Channel(second.choi, wire, second.out_layout),
+        [_SEQ_WIRE],
+    )
 
 
 def compose_par(a: Channel, b: Channel) -> Channel:
     """Choi of a (x) b, output layout a.out ++ b.out, input layout a.in ++ b.in."""
-    out_layout = a.out_layout.concat(b.out_layout)
-    in_layout = a.in_layout.concat(b.in_layout)
-    naive = kron(a.choi, b.choi)
-    lay = choi_layout(a.out_layout, a.in_layout).concat(
-        choi_layout(b.out_layout, b.in_layout)
-    )
-    target = choi_layout(out_layout, in_layout)
-    perm, _ = permute_to(naive, lay, target.labels)
-    return Channel(perm, in_layout, out_layout)
+    return link(a, b, ())
 
 
 @dataclass(frozen=True)

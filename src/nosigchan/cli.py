@@ -16,20 +16,30 @@ from . import analysis, counterexample
 from .channels import ChannelError
 from .choifile import ChoiFileError, load_channel, save_channel
 from .nosignal import NOSIGNAL_TOL
-from .tensor import eigh
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _alpha_arg(text: str) -> float:
+def _number_arg(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
+def _alpha_arg(text: str) -> float:
+    value = _number_arg(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"alpha must lie in [0, 1], got {value}")
+    return value
+
+
+def _tol_arg(text: str) -> float:
+    value = _number_arg(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {value}")
     return value
 
 
@@ -132,16 +142,6 @@ def cmd_check(args) -> int:
     except (ChoiFileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    herm = float(np.max(np.abs(c.choi - c.choi.conj().T)))
-    if herm > 1e-9:
-        sys.stderr.write(f"not completely positive: Choi not Hermitian ({herm:.3e})\n")
-        return EXIT_CHECK_FAILED
-    w, _ = eigh(c.choi)
-    if w[-1] < -1e-9:
-        sys.stderr.write(
-            f"not completely positive: min Choi eigenvalue {w[-1]:.3e}\n"
-        )
-        return EXIT_CHECK_FAILED
     try:
         c.validate()
     except ChannelError as exc:
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rebuild the counterexample and rerun its verdicts")
     p.add_argument("--alpha", type=_alpha_arg, default=1.0 / 6.0)
-    p.add_argument("--tol", type=float, default=NOSIGNAL_TOL)
+    p.add_argument("--tol", type=_tol_arg, default=NOSIGNAL_TOL)
     p.add_argument("--out", help="also write the JSON report to this file")
     p.set_defaults(func=cmd_reproduce)
 

@@ -29,7 +29,7 @@ from .tensor import (
     permute_vector,
     vector_bra_contract,
 )
-from .channels import Channel, Instrument, choi_from_map, instrument_sum
+from .channels import Channel, Instrument, choi_from_map, instrument_sum, link
 from .nosignal import RealizationSpec, build_realization_cc
 
 IN_LAYOUT = layout("A", "B")
@@ -157,6 +157,12 @@ def _nielsen_filters(alpha: float):
     return m0, m1
 
 
+def _cp_map(kraus, in_layout: SystemLayout, out_layout: SystemLayout) -> Channel:
+    """Choi of rho -> sum_k K rho K†, with no trace-preservation check."""
+    vs = np.array([np.asarray(k, dtype=complex).reshape(-1) for k in kraus])
+    return Channel(vs.T @ vs.conj(), in_layout, out_layout)
+
+
 def realization_spec(alpha: float, direction: str = "B_to_A") -> RealizationSpec:
     """Strict one-round classical-communication form over a (1/2)|I>> pair.
 
@@ -171,73 +177,54 @@ def realization_spec(alpha: float, direction: str = "B_to_A") -> RealizationSpec
     if direction not in ("A_to_B", "B_to_A"):
         raise ValueError(f"unknown direction {direction!r}")
     m_ops = _nielsen_filters(alpha)
-    cs = controlled_swap(2)
-    sigma = _controlled_sigma_x()
+    i2 = np.eye(2)
+    bras = np.eye(2, dtype=complex)
 
     if direction == "B_to_A":
         snd, rcv = "B", "A"
     else:
         snd, rcv = "A", "B"
-    s_lay = layout(snd, "X_" + snd, "W_" + snd)
-    r_lay = layout(rcv, "X_" + rcv, "W_" + rcv)
-    cs_snd = embed(cs, ["W_" + snd, snd, "X_" + snd], s_lay)
-    cs_rcv = embed(cs, ["W_" + rcv, rcv, "X_" + rcv], r_lay)
-    # A' keeps (A, W_A) order; B' keeps (W_B, B) order.
-    if snd == "B":
-        s_out_labels, r_out_labels = ["W_B", "B"], ["A", "W_A"]
-    else:
-        s_out_labels, r_out_labels = ["A", "W_A"], ["W_B", "B"]
-    s_out = s_lay.drop(["X_" + snd]).select(s_out_labels)
-    r_out = r_lay.drop(["X_" + rcv]).select(r_out_labels)
-    ins_in = SystemLayout(((snd, 2), ("E_" + snd, 4)))
-    corr_in = SystemLayout(((rcv, 2), ("E_" + rcv, 4)))
 
-    branch_chois = []
+    def on_w(p, op):
+        """Split the ancilla E_p into qubits (X_p, W_p) and apply op to W_p."""
+        return _cp_map([kron(i2, i2, op)], SystemLayout(((p, 2), ("E_" + p, 4))),
+                       layout(p, "X_" + p, "W_" + p))
+
+    def then_swap(c, p):
+        lay = layout("W_" + p, p, "X_" + p)
+        return link(c, _cp_map([controlled_swap(2)], lay, lay), lay.labels)
+
+    def drop_x(c, p, effects):
+        """Remove X_p through the given effects.  One wire is re-emitted so that
+        it comes last: A' is (A, W_A) and B' is (W_B, B)."""
+        keep = layout("W_A" if p == "A" else "B")
+        piece = _cp_map([kron(e, i2) for e in effects], layout("X_" + p).concat(keep), keep)
+        return link(c, piece, piece.in_layout.labels)
+
+    fire_lay = layout("X_" + rcv, "W_" + rcv, rcv)
+    fire = _cp_map([kron(_P0, np.eye(4)) + kron(_P1, _controlled_sigma_x())], fire_lay, fire_lay)
+    branches = []
     outcomes = []
     corrections = []
     for meas in range(2):
         for k in range(2):
-            filt = embed(m_ops[k], ["W_" + snd], s_lay)
-
-            def s_fn(rho, filt=filt, meas=meas):
-                s = filt @ rho @ filt.conj().T
-                s = cs_snd @ s @ cs_snd.conj().T
-                bra = np.zeros(2, dtype=complex)
-                bra[meas] = 1
-                s = bra_sandwich(s, s_lay, ["X_" + snd], bra)
-                s, _ = permute_to(s, s_lay.drop(["X_" + snd]), s_out_labels)
-                return s
-
-            branch_chois.append(choi_from_map(s_fn, ins_in, s_out).choi)
+            branches.append(drop_x(then_swap(on_w(snd, m_ops[k]), snd), snd, [bras[meas]]))
             outcomes.append((meas, k))
+            got = then_swap(on_w(rcv, pauli("x") if k == 1 else i2), rcv)
+            if meas == 1:
+                got = link(got, fire, fire_lay.labels)
+            corrections.append(drop_x(got, rcv, bras))
 
-            fix = embed(pauli("x"), ["W_" + rcv], r_lay) if k == 1 else np.eye(8)
-            fire_gate = embed(sigma, ["W_" + rcv, rcv], r_lay.drop(["X_" + rcv]))
-
-            def r_fn(rho, fix=fix, meas=meas, fire_gate=fire_gate):
-                s = fix @ rho @ fix.conj().T
-                s = cs_rcv @ s @ cs_rcv.conj().T
-                out = None
-                for other in range(2):
-                    bra = np.zeros(2, dtype=complex)
-                    bra[other] = 1
-                    part = bra_sandwich(s, r_lay, ["X_" + rcv], bra)
-                    if other == 1 and meas == 1:
-                        part = fire_gate @ part @ fire_gate.conj().T
-                    out = part if out is None else out + part
-                out, _ = permute_to(out, r_lay.drop(["X_" + rcv]), r_out_labels)
-                return out
-
-            corrections.append(choi_from_map(r_fn, corr_in, r_out))
-
-    instrument = Instrument(tuple(branch_chois), ins_in, s_out, tuple(outcomes))
+    b0 = branches[0]
+    instrument = Instrument(
+        tuple(b.choi for b in branches), b0.in_layout, b0.out_layout, tuple(outcomes)
+    )
     return RealizationSpec(direction, 4, instrument, tuple(corrections))
 
 
 def build_r_alpha_realization(alpha: float, direction: str = "B_to_A") -> Channel:
-    """The channel rebuilt through build_realization_cc; equals the other routes."""
-    c = build_realization_cc(realization_spec(alpha, direction))
-    if direction == "B_to_A":
-        return c  # output already (A, W_A, W_B, B)
-    # A_to_B ordering is (A, W_A) ++ (W_B, B) as well.
-    return c
+    """The channel rebuilt through build_realization_cc; equals the other routes.
+
+    Either direction gives the output order (A, W_A) ++ (W_B, B).
+    """
+    return build_realization_cc(realization_spec(alpha, direction))

@@ -16,9 +16,7 @@ import numpy as np
 from .tensor import (
     SystemLayout,
     TensorError,
-    bra_sandwich,
     clock_op,
-    embed,
     eigh,
     kron,
     max_entangled_vec,
@@ -32,13 +30,12 @@ from .channels import (
     Instrument,
     IN_TAG,
     OUT_TAG,
-    apply,
-    choi_from_map,
     choi_layout,
     compose_par,
-    compose_seq,
     identity_channel,
+    link,
     tp_residual,
+    unitary_channel,
 )
 
 NOSIGNAL_TOL = 1e-9
@@ -152,62 +149,35 @@ def is_nosignaling(c, a_in_labels, a_out_labels, b_in_labels, b_out_labels,
 # that party's outputs.
 
 
-def _ancilla_dim(piece_in: SystemLayout) -> int:
-    if len(piece_in) < 1:
-        raise ChannelError("local piece needs at least the ancilla input")
-    return piece_in.dims[-1]
+# Private wire labels, so that the pieces' own labels never collide with them.
+_EA = "#E_A"
+_EB = "#E_B"
+_RELAY = "#relay"
 
 
-def _joint_from_local(
-    a_choi: np.ndarray,
-    a_in: SystemLayout,
-    a_out: SystemLayout,
-    b_choi: np.ndarray,
-    b_in: SystemLayout,
-    b_out: SystemLayout,
-    d: int,
-) -> Channel:
-    """Choi of (a_piece x b_piece) fed with the shared pair (1/sqrt d)|I>>.
-
-    The joint input is (A systems ..., B systems ...) in the pieces' order;
-    the ancilla subsystems (last input of each piece) are consumed.
-    """
-    if _ancilla_dim(a_in) != d or _ancilla_dim(b_in) != d:
-        raise ChannelError(
-            f"ancilla inputs must have dimension {d}, "
-            f"got {_ancilla_dim(a_in)} and {_ancilla_dim(b_in)}"
-        )
-    ea = a_in.labels[-1]
-    eb = b_in.labels[-1]
-    sys_a = SystemLayout(a_in.subsystems[:-1])
-    sys_b = SystemLayout(b_in.subsystems[:-1])
-    joint_in = sys_a.concat(sys_b)
-    joint_out = a_out.concat(b_out)
-    gp = compose_par(Channel(a_choi, a_in, a_out), Channel(b_choi, b_in, b_out))
-    phi_vec = max_entangled_vec(d, normalized=True)
-    phi = np.outer(phi_vec, phi_vec.conj())
-    state_lay = joint_in.concat(SystemLayout(((ea, d), (eb, d))))
-    target = list(a_in.labels) + list(b_in.labels)
-
-    def fn(rho):
-        state = kron(rho, phi)
-        state, _ = permute_to(state, state_lay, target)
-        return apply(gp, state)
-
-    return choi_from_map(fn, joint_in, joint_out)
+def _renamed(lay: SystemLayout, index: int, label: str) -> SystemLayout:
+    """lay with the subsystem at position index renamed to label."""
+    subs = list(lay.subsystems)
+    subs[index] = (label, subs[index][1])
+    return SystemLayout(tuple(subs))
 
 
 def build_localizable(g_a: Channel, g_b: Channel, d: int) -> Channel:
     """Local operations on both sides sharing a maximally entangled pair.
 
     g_a: (A systems ..., E_A) -> A outputs, g_b likewise; ancillas have
-    dimension d and sit last in each input layout.
+    dimension d and sit last in each input layout (link checks both).  The
+    pieces need not be trace-preserving.  The joint input is (A systems ...,
+    B systems ...) and the joint output (A outputs ..., B outputs ...).
     """
-    return _joint_from_local(
-        g_a.choi, g_a.in_layout, g_a.out_layout,
-        g_b.choi, g_b.in_layout, g_b.out_layout,
-        d,
-    )
+    if not len(g_a.in_layout) or not len(g_b.in_layout):
+        raise ChannelError("local piece needs at least the ancilla input")
+    phi = max_entangled_vec(d, normalized=True)
+    pair = Channel(np.outer(phi, phi.conj()), SystemLayout(()),
+                   SystemLayout(((_EA, d), (_EB, d))))
+    a = Channel(g_a.choi, _renamed(g_a.in_layout, -1, _EA), g_a.out_layout)
+    b = Channel(g_b.choi, _renamed(g_b.in_layout, -1, _EB), g_b.out_layout)
+    return link(link(pair, a, [_EA]), b, [_EB])
 
 
 @dataclass(frozen=True)
@@ -241,22 +211,14 @@ class RealizationSpec:
 
 def build_realization_cc(spec: RealizationSpec) -> Channel:
     """Sum over outcomes of (instrument branch (x) correction) on the shared pair."""
-    d = spec.ancilla_dim
     ins = spec.instrument
     total = None
     for branch, corr in zip(ins.branch_chois, spec.corrections):
+        piece = Channel(branch, ins.in_layout, ins.out_layout)
         if spec.direction == "A_to_B":
-            part = _joint_from_local(
-                branch, ins.in_layout, ins.out_layout,
-                corr.choi, corr.in_layout, corr.out_layout,
-                d,
-            )
+            part = build_localizable(piece, corr, spec.ancilla_dim)
         else:
-            part = _joint_from_local(
-                corr.choi, corr.in_layout, corr.out_layout,
-                branch, ins.in_layout, ins.out_layout,
-                d,
-            )
+            part = build_localizable(corr, piece, spec.ancilla_dim)
         total = part.choi if total is None else total + part.choi
     out = Channel(total, part.in_layout, part.out_layout)
     dev = tp_residual(out.choi, out.out_layout, out.in_layout)
@@ -271,17 +233,11 @@ def build_semilocalizable(v1: Channel, v2: Channel) -> Channel:
     v1: A -> (A outputs ..., relay), relay last; v2: (relay, B systems ...) -> B
     outputs, relay first.  The result cannot signal from B to the A outputs.
     """
-    relay_dim = v1.out_layout.dims[-1]
-    if v2.in_layout.dims[0] != relay_dim:
-        raise ChannelError(
-            f"relay dimension mismatch: {relay_dim} vs {v2.in_layout.dims[0]}"
-        )
-    b_in = SystemLayout(v2.in_layout.subsystems[1:])
-    a_out = SystemLayout(v1.out_layout.subsystems[:-1])
-    stage1 = compose_par(v1, identity_channel(b_in))
-    stage2 = compose_par(identity_channel(a_out), v2)
-    composed = compose_seq(stage1, stage2)
-    return Channel(composed.choi, v1.in_layout.concat(b_in), a_out.concat(v2.out_layout))
+    return link(
+        Channel(v1.choi, v1.in_layout, _renamed(v1.out_layout, -1, _RELAY)),
+        Channel(v2.choi, _renamed(v2.in_layout, 0, _RELAY), v2.out_layout),
+        [_RELAY],
+    )
 
 
 def teleport_gadget(d: int):
@@ -319,33 +275,27 @@ def teleport_realization(v1: Channel, v2: Channel) -> Channel:
     e = v1.out_layout.dims[-1]
     bells, cors = teleport_gadget(e)
 
-    sys_a = v1.in_layout
-    ea_label = "_tp_EA"
-    eb_label = "_tp_EB"
-    ins_in = sys_a.concat(SystemLayout(((ea_label, e),)))
-    ins_out = SystemLayout(v1.out_layout.subsystems[:-1])
-    sender_lift = compose_par(v1, identity_channel(SystemLayout(((ea_label, e),))))
-    lift_out = sender_lift.out_layout
+    # Branch x: v1, then the effect rho -> <B_x|rho|B_x> on (relay, E_A).
+    bell_in = SystemLayout(((relay, e), (_EA, e)))
+    branches = [
+        link(v1, Channel(np.outer(b.conj(), b), bell_in, SystemLayout(())), [relay])
+        for b in bells
+    ]
+    instrument = Instrument(
+        tuple(br.choi for br in branches), branches[0].in_layout, branches[0].out_layout
+    )
 
-    branch_chois = []
-    for b in bells:
-        def fn(rho, b=b):
-            s = apply(sender_lift, rho)
-            return bra_sandwich(s, lift_out, [relay, ea_label], b)
-
-        branch_chois.append(choi_from_map(fn, ins_in, ins_out).choi)
-    instrument = Instrument(tuple(branch_chois), ins_in, ins_out)
-
+    # Correction x: X^p Z^q from E_B onto v2's relay input, B systems passed through.
     b_sys = SystemLayout(v2.in_layout.subsystems[1:])
-    corr_in = b_sys.concat(SystemLayout(((eb_label, e),)))
-    corrections = []
-    for u in cors:
-        def fn(rho, u=u):
-            big = embed(u, [eb_label], corr_in)
-            s = big @ rho @ big.conj().T
-            s, _ = permute_to(s, corr_in, [eb_label] + list(b_sys.labels))
-            return apply(v2, s)
-
-        corrections.append(choi_from_map(fn, corr_in, v2.out_layout))
-    spec = RealizationSpec("A_to_B", e, instrument, tuple(corrections))
+    eb = SystemLayout(((_EB, e),))
+    relay_in = SystemLayout(v2.in_layout.subsystems[:1])
+    corrections = tuple(
+        link(
+            compose_par(identity_channel(b_sys), unitary_channel(u, eb, relay_in)),
+            v2,
+            v2.in_layout.labels,
+        )
+        for u in cors
+    )
+    spec = RealizationSpec("A_to_B", e, instrument, corrections)
     return build_realization_cc(spec)

@@ -12,7 +12,6 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
 
 
 class TensorError(ValueError):

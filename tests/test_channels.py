@@ -3,7 +3,7 @@ Kraus round trips, and instruments."""
 import numpy as np
 import pytest
 
-from nosigchan.tensor import kron, layout, max_entangled_vec, pauli
+from nosigchan.tensor import SystemLayout, kron, layout, max_entangled_vec, permute_to
 from nosigchan.channels import (
     Channel,
     ChannelError,
@@ -16,6 +16,7 @@ from nosigchan.channels import (
     identity_channel,
     instrument_sum,
     kraus_from_choi,
+    link,
     prepare_channel,
     random_cptp,
     random_instrument,
@@ -167,6 +168,97 @@ def test_compose_par_with_identity_is_embedding(rng):
     assert np.allclose(
         ptrace(out, out_lay, ["B"]), apply(a, ptrace(rho, lay, ["B"]))
     )
+
+
+def test_compose_par_stays_parallel_when_labels_coincide(rng):
+    a = random_cptp(rng, layout("X"), layout("Y"))
+    b = random_cptp(rng, layout("Y"), layout(("Z", 3)))
+    c = compose_par(a, b).validate()
+    assert c.in_layout.labels == ("X", "Y")
+    assert c.out_layout.labels == ("Y", "Z")
+    ra, rb = random_density(rng, 2), random_density(rng, 2)
+    assert np.allclose(apply(c, kron(ra, rb)), kron(apply(a, ra), apply(b, rb)))
+
+
+# ---------------------------------------------------------------------------
+# link product against a matrix-unit oracle
+
+
+def apply_first(c, rho, rest):
+    """(c x id_rest)(rho) for rho on (c.in, rest), one block at a time."""
+    r = rho.reshape(c.d_in, rest, c.d_in, rest)
+    out = np.zeros((c.d_out, rest, c.d_out, rest), dtype=complex)
+    for q in range(rest):
+        for q2 in range(rest):
+            out[:, q, :, q2] = apply(c, r[:, q, :, q2])
+    return out.reshape(c.d_out * rest, c.d_out * rest)
+
+
+def reorder(m, legs, dims, target):
+    lay = SystemLayout(tuple(zip(legs, dims)))
+    return permute_to(m, lay, target)[0]
+
+
+def link_oracle(first, second, over):
+    """The link product rebuilt with choi_from_map and apply."""
+    p = first.out_layout.drop(over)
+    q = second.in_layout.drop(over)
+    p1 = ["1" + l for l in p.labels]
+    o2 = ["2" + l for l in second.out_layout.labels]
+    mid = ["1" + l for l in first.out_layout.labels] + ["2" + l for l in q.labels]
+    fed = ["1" + l if l in over else "2" + l for l in second.in_layout.labels]
+
+    def fn(rho):
+        s = apply_first(first, rho, q.total_dim)  # (first.out, Q)
+        s = reorder(s, mid, first.out_layout.dims + q.dims, fed + p1)
+        t = apply_first(second, s, p.total_dim)  # (second.out, P)
+        return reorder(t, o2 + p1, second.out_layout.dims + p.dims, p1 + o2)
+
+    return choi_from_map(fn, first.in_layout.concat(q), p.concat(second.out_layout))
+
+
+def assert_links_like_oracle(first, second, over, in_labels, out_labels):
+    got = link(first, second, over)
+    assert got.in_layout.labels == in_labels
+    assert got.out_layout.labels == out_labels
+    assert np.max(np.abs(got.choi - link_oracle(first, second, over).choi)) <= 1e-12
+
+
+def test_link_serial_over_one_leg(rng):
+    a = random_cptp(rng, layout(("I", 3)), layout("M"))
+    b = random_cptp(rng, layout("M"), layout(("O", 3)))
+    assert_links_like_oracle(a, b, ["M"], ("I",), ("O",))
+
+
+def test_link_parallel(rng):
+    a = random_cptp(rng, layout("I"), layout(("P", 3)))
+    b = random_cptp(rng, layout(("Q", 3)), layout("O"))
+    assert_links_like_oracle(a, b, (), ("I", "Q"), ("P", "O"))
+
+
+def test_link_partial_keeps_pass_through_legs(rng):
+    a = random_cptp(rng, layout("I", ("J", 3)), layout(("M", 3), "P", "N"))
+    b = random_cptp(rng, layout("N", "Q", ("M", 3)), layout(("O", 3)))
+    assert_links_like_oracle(a, b, ["M", "N"], ("I", "J", "Q"), ("P", "O"))
+
+
+def test_link_feeds_a_state(rng):
+    sigma = random_density(rng, 6)
+    state = Channel(sigma, SystemLayout(()), layout(("S", 3), "T"))
+    b = random_cptp(rng, layout(("S", 3), "U"), layout("O"))
+    assert_links_like_oracle(state, b, ["S"], ("U",), ("T", "O"))
+
+
+def test_link_rejects_unwired_or_mismatched_legs(rng):
+    a = random_cptp(rng, layout("I"), layout(("M", 3)))
+    b = random_cptp(rng, layout("M"), layout("O"))
+    c = random_cptp(rng, layout(("M", 3)), layout("O"))
+    with pytest.raises(ChannelError):
+        link(a, b, ["M"])  # dimension 3 vs 2
+    with pytest.raises(ChannelError):
+        link(a, c, ["Z"])  # on neither side
+    with pytest.raises(ChannelError):
+        link(a, c, ["I"])  # an input of first, not an output
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ def test_reproduce_alpha_two_thirds(capsys):
     assert code == 1  # CHSH does not certify non-localizability here
 
 
+def test_reproduce_tol_must_be_finite_and_positive(capsys):
+    for bad in ("nan", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--tol", bad])
+        assert exc.value.code == 2
+
+
 def test_reproduce_alpha_out_of_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "--alpha", "1.5"])
@@ -170,6 +177,17 @@ def test_check_non_psd_matrix(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(p), "--sender", "A", "--receiver", "A")
     assert code == 1
     assert "not completely positive" in err
+
+
+def test_check_non_finite_entry_exits_2(capsys, tmp_path):
+    for (i, j), value in (((0, 1), float("nan")), ((1, 1), float("inf"))):
+        d = channel_to_dict(identity_channel(layout("A")))
+        d["choi"][i][j] = [value, 0.0]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))  # bare NaN / Infinity tokens
+        code, _, err = run_cli(capsys, "check", str(p), "--sender", "A", "--receiver", "A")
+        assert code == 2
+        assert "non-finite" in err
 
 
 def test_check_parse_error_exits_2(capsys, tmp_path):

@@ -333,7 +333,7 @@ def test_teleport_identity_on_random_states(rng):
 
 
 def test_teleport_realization_equals_semilocalizable(rng):
-    for e in (2, 3):
+    for e in (2, 3, 4):
         v1 = random_cptp(rng, layout("A"), layout("Ap", ("E", e)))
         v2 = random_cptp(rng, layout(("E", e), "B"), layout("Bp"))
         semi = build_semilocalizable(v1, v2)
