@@ -16,12 +16,11 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .tensor import embed, eigh, gram_rank, pauli, ptrace, ptranspose
+from .tensor import eigh, gram_rank, ptrace, ptranspose
 from .channels import (
     Channel,
     IN_TAG,
     KRAUS_CUTOFF,
-    OUT_TAG,
     choi_layout,
     kraus_from_choi,
 )
@@ -74,24 +73,25 @@ def chsh_value(c: Channel) -> float:
     """CHSH combination of the four correlators read off the Choi operator.
 
     The settings are fixed: sigma_z on the A and B output wires, computational
-    basis states on the two input wires, identity on the W pair.
+    basis states on the two input wires, identity on the W pair.  Every one of
+    them is diagonal in the computational basis, so each correlator
+    Tr[O R] = sum_i O_ii R_ii is a +-1/0-weighted sum of the Choi diagonal,
+    whose six qubit legs are (A, W_A, W_B, B | A, B).
     """
     if not _chsh_applicable(c):
         raise ValueError(
             "CHSH test needs the counterexample layout "
             f"{counterexample.OUT_LAYOUT.labels} | {counterexample.IN_LAYOUT.labels}"
         )
-    lay = choi_layout(c.out_layout, c.in_layout)
-    sz = pauli("z")
-    zz = embed(sz, ["A" + OUT_TAG], lay) @ embed(sz, ["B" + OUT_TAG], lay)
+    diag = np.diagonal(c.choi)
+    z = np.array([1.0, -1.0])
+    zz = z[:, None, None, None] * z  # sigma_z on the A and B outputs
 
     def corr(n: int, m: int) -> float:
-        pn = np.zeros((2, 2), dtype=complex)
-        pn[n, n] = 1
-        pm = np.zeros((2, 2), dtype=complex)
-        pm[m, m] = 1
-        obs = zz @ embed(pn, ["A" + IN_TAG], lay) @ embed(pm, ["B" + IN_TAG], lay)
-        return float(np.real(np.trace(obs @ c.choi)))
+        obs = np.zeros((2,) * 6)
+        obs[..., n, m] = zz
+        # the whole 64-entry weighted vector, zeros included, in index order
+        return float(np.real(np.sum(obs.reshape(-1) * diag)))
 
     return abs(corr(0, 0) + corr(0, 1) + corr(1, 0) - corr(1, 1))
 

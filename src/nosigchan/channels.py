@@ -16,6 +16,7 @@ from .tensor import (
     TensorError,
     as_matrix,
     eigh,
+    eigvalsh,
     kron,
     max_entangled_vec,
     ptrace,
@@ -76,7 +77,7 @@ class Channel:
             raise ChannelError(
                 f"not completely positive: Choi not Hermitian ({herm:.3e})"
             )
-        w, _ = eigh(self.choi, tol=cp_tol * 10)
+        w = eigvalsh(self.choi, tol=cp_tol * 10)
         if w[-1] < -cp_tol:
             raise ChannelError(
                 f"not completely positive: min Choi eigenvalue {w[-1]:.3e}"
@@ -272,7 +273,7 @@ class Instrument:
 
     def validate(self, cp_tol: float = CP_TOL, tp_tol: float = TP_TOL) -> "Instrument":
         for x, b in zip(self.outcomes, self.branch_chois):
-            w, _ = eigh(b, tol=cp_tol * 10)
+            w = eigvalsh(b, tol=cp_tol * 10)
             if w[-1] < -cp_tol:
                 raise ChannelError(f"branch {x!r} not CP: eigenvalue {w[-1]:.3e}")
         instrument_sum(self, tp_tol=tp_tol)

@@ -26,8 +26,12 @@ def _layout_to_json(lay: SystemLayout):
 
 def _layout_from_json(items) -> SystemLayout:
     try:
-        return SystemLayout(tuple((s["label"], int(s["dim"])) for s in items))
-    except (KeyError, TypeError) as exc:
+        subs = tuple((s["label"], s["dim"]) for s in items)
+        bad = [d for _, d in subs if type(d) is not int or d < 1]  # bool is not int here
+        if bad:
+            raise ValueError(f"dims must be integers >= 1, got {bad}")
+        return SystemLayout(subs)
+    except (KeyError, TypeError, ValueError) as exc:  # TensorError is a ValueError
         raise ChoiFileError(f"bad dims entry: {exc}") from exc
 
 
@@ -53,15 +57,14 @@ def channel_from_dict(data: dict) -> Channel:
     out_layout = _layout_from_json(data["out_dims"])
     n = in_layout.total_dim * out_layout.total_dim
     rows = data["choi"]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ChoiFileError(f"choi matrix must be {n} x {n}")
+    if not isinstance(rows, list) or len(rows) != n or any(
+        not isinstance(r, list) or len(r) != n for r in rows
+    ):
+        raise ChoiFileError(f"choi matrix must be a list of {n} rows of {n} cells")
     try:
-        m = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in rows],
-            dtype=complex,
-        )
-    except (TypeError, IndexError) as exc:
-        raise ChoiFileError(f"bad matrix cell: {exc}") from exc
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ChoiFileError(f"bad matrix cell, need [real, imag]: {exc}") from exc
     try:
         return Channel(m, in_layout, out_layout)
     except ChannelError as exc:

@@ -7,6 +7,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -201,8 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one serves every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -17,7 +17,7 @@ from .tensor import (
     SystemLayout,
     TensorError,
     clock_op,
-    eigh,
+    eigvalsh,
     kron,
     max_entangled_vec,
     permute_to,
@@ -129,7 +129,7 @@ def check_nosignaling_dir(
         n_out = sum(1 for l in s_lay.labels if l.endswith(OUT_TAG))
         out_lay = SystemLayout(s_lay.subsystems[:n_out])
         in_lay = SystemLayout(s_lay.subsystems[n_out:])
-        w, _ = eigh(s, tol=1e-7)
+        w = eigvalsh(s, tol=1e-7)
         marg = ptrace(s, s_lay, out_lay.labels)
         dev = np.max(np.abs(marg - np.eye(in_lay.total_dim)))
         if w[-1] < -1e-7 or dev > 1e-7:

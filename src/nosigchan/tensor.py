@@ -179,18 +179,31 @@ def ptranspose(m, lay: SystemLayout, transposed_labels: Iterable[str]) -> np.nda
     return np.ascontiguousarray(t.transpose(axes).reshape(d, d))
 
 
+def _hermitian_part(m, tol: float) -> np.ndarray:
+    m = as_matrix(m)
+    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if dev > tol:
+        raise TensorError(f"matrix is not Hermitian: max|M - M†| = {dev:.3e}")
+    return (m + m.conj().T) / 2
+
+
 def eigh(m, tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (eigenvalues, eigenvectors) with columns matching eigenvalues,
     so that m = V @ diag(w) @ V†.
     """
-    m = as_matrix(m)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > tol:
-        raise TensorError(f"matrix is not Hermitian: max|M - M†| = {dev:.3e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = np.linalg.eigh(_hermitian_part(m, tol))
     return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
+
+
+def eigvalsh(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending, under `eigh`'s check.
+
+    Skips the eigenvectors, which halves the cost where only the spectrum
+    is read.
+    """
+    return np.linalg.eigvalsh(_hermitian_part(m, tol))[::-1].copy()
 
 
 def embed(op, op_labels: Sequence[str], lay: SystemLayout) -> np.ndarray:

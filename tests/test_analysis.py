@@ -3,8 +3,10 @@ the two extremality certificates (among all channels, among no-signaling
 channels)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nosigchan.tensor import kron, layout, pauli, ptranspose
+from nosigchan.tensor import embed, kron, layout, pauli, ptranspose
 from nosigchan.channels import (
     Channel,
     channel_from_kraus,
@@ -22,6 +24,7 @@ from nosigchan.counterexample import (
     build_r_alpha_kraus,
 )
 from nosigchan.analysis import (
+    CHSH_SLACK,
     TSIRELSON,
     analyze,
     chsh_value,
@@ -90,12 +93,73 @@ def test_chsh_alpha_one_sixth_beats_tsirelson():
     assert val > TSIRELSON
 
 
+def chsh_by_trace(c):
+    """The CHSH value as Tr[O R] over full 64 x 64 observables, built by embed."""
+    lay = choi_layout(c.out_layout, c.in_layout)
+    sz = pauli("z")
+    zz = embed(sz, ["A#out"], lay) @ embed(sz, ["B#out"], lay)
+
+    def corr(n, m):
+        pn = np.zeros((2, 2), dtype=complex)
+        pn[n, n] = 1
+        pm = np.zeros((2, 2), dtype=complex)
+        pm[m, m] = 1
+        obs = zz @ embed(pn, ["A#in"], lay) @ embed(pm, ["B#in"], lay)
+        return float(np.real(np.trace(obs @ c.choi)))
+
+    return abs(corr(0, 0) + corr(0, 1) + corr(1, 0) - corr(1, 1))
+
+
+def random_localizable(rng, d):
+    ga = random_cptp(rng, layout("A", ("EA", d)), layout("A", "W_A"))
+    gb = random_cptp(rng, layout("B", ("EB", d)), layout("W_B", "B"))
+    return build_localizable(ga, gb, d)
+
+
+def test_chsh_diagonal_read_equals_trace_oracle(rng):
+    # The observables are diagonal, so the trace adds the same 64 weighted
+    # diagonal entries in the same order: equality is exact, not approximate.
+    channels = [build_r_alpha_kraus(float(a)) for a in np.linspace(0.0, 1.0, 41)]
+    channels += [random_localizable(rng, d) for d in range(2, 7) for _ in range(4)]
+    channels += [random_cptp(rng, IN_LAYOUT, OUT_LAYOUT) for _ in range(20)]
+    for c in channels:
+        assert chsh_value(c) == chsh_by_trace(c)
+
+
+def isometry_channel(g, in_lay, out_lay):
+    """Channel whose Kraus operators stack to the Q factor of g: CPTP for any g."""
+    q, _ = np.linalg.qr(g)
+    do = out_lay.total_dim
+    ks = [q[i * do : (i + 1) * do] for i in range(q.shape[0] // do)]
+    return channel_from_kraus(ks, in_lay, out_lay)
+
+
+@st.composite
+def localizable_channels(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    n_kraus = draw(st.integers(2, 3))
+    entries = arrays(np.float64, (2, 4 * n_kraus, 2 * d), elements=st.floats(-1, 1))
+    pieces = []
+    for in_lay, out_lay in (
+        (layout("A", ("EA", d)), layout("A", "W_A")),
+        (layout("B", ("EB", d)), layout("W_B", "B")),
+    ):
+        re, im = draw(entries)
+        pieces.append(isometry_channel(re + 1j * im, in_lay, out_lay))
+    return build_localizable(*pieces, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(localizable_channels())
+def test_localizable_is_no_signaling_and_within_tsirelson(c):
+    v = signaling_verdict(c, *R_WIRES)
+    assert v.a_to_b and v.b_to_a
+    assert chsh_value(c) <= TSIRELSON + CHSH_SLACK
+
+
 def test_localizable_channels_respect_tsirelson(rng):
     for _ in range(5):
-        d = int(rng.integers(2, 4))
-        ga = random_cptp(rng, layout("A", ("EA", d)), layout("A", "W_A"))
-        gb = random_cptp(rng, layout("B", ("EB", d)), layout("W_B", "B"))
-        c = build_localizable(ga, gb, d)
+        c = random_localizable(rng, int(rng.integers(2, 4)))
         assert chsh_value(c) <= TSIRELSON + 1e-6
 
 

@@ -15,6 +15,7 @@ from nosigchan.choifile import (
 )
 from nosigchan.counterexample import build_r_alpha_kraus
 from nosigchan.cli import main
+from nosigchan.nosignal import NOSIGNAL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,25 @@ def test_reproduce_alpha_two_thirds(capsys):
     assert code == 1  # CHSH does not certify non-localizability here
 
 
+def test_main_calls_share_no_option_values(capsys, tmp_path):
+    first = tmp_path / "first.json"
+    code, _, _ = run_cli(capsys, "reproduce", "--alpha", "0.25", "--tol", "1e-3",
+                         "--out", str(first))
+    assert code == 1 and first.exists()
+    first.unlink()
+    code, out, _ = run_cli(capsys, "reproduce")
+    report = json.loads(out)
+    assert report["alpha"] == 1.0 / 6.0
+    assert report["construction_equivalence"]["tolerance"] == NOSIGNAL_TOL
+    assert not first.exists()  # --out did not carry over
+    exported = tmp_path / "r.json"
+    assert run_cli(capsys, "export", "--alpha", "0.5", str(exported))[0] == 0
+    code, out, _ = run_cli(capsys, "check", str(exported), "--sender", "A,W_A",
+                           "--receiver", "B,W_B")
+    assert code == 0
+    assert json.loads(out)["file"] == str(exported)
+
+
 def test_reproduce_tol_must_be_finite_and_positive(capsys):
     for bad in ("nan", "-1"):
         with pytest.raises(SystemExit) as exc:
@@ -199,6 +219,36 @@ def test_check_parse_error_exits_2(capsys, tmp_path):
         capsys, "check", str(tmp_path / "missing.json"), "--sender", "A", "--receiver", "B"
     )
     assert code == 2
+
+
+def _set_every_dim(d, value):
+    for key in ("in_dims", "out_dims"):
+        for wire in d[key]:
+            wire["dim"] = value
+
+
+# Each edit turns the file of the two-qubit identity channel into a malformed one.
+MALFORMED = {
+    "dim-string": lambda d: d["in_dims"][0].update(dim="two"),
+    "dim-zero": lambda d: d["in_dims"][0].update(dim=0),
+    "repeated-label": lambda d: d["in_dims"][1].update(label="A"),
+    "choi-not-a-list": lambda d: d.update(choi=5),
+    "cell-overflows-float": lambda d: d["choi"][0].__setitem__(1, [10**400, 0]),
+    "dim-not-an-integer": lambda d: _set_every_dim(d, 2.7),
+    "cell-of-three-numbers": lambda d: d["choi"][0][1].append(1.0),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_check_malformed_file_exits_2(capsys, tmp_path, edit):
+    d = channel_to_dict(identity_channel(layout("A", "B")))
+    edit(d)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    code, out, err = run_cli(capsys, "check", str(p), "--sender", "A", "--receiver", "B")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_check_requires_label_partition(capsys, tmp_path):

@@ -16,6 +16,7 @@ from nosigchan.tensor import (
     clock_op,
     controlled_swap,
     eigh,
+    eigvalsh,
     embed,
     gram_rank,
     kron,
@@ -191,11 +192,21 @@ def test_eigh_reconstruction_and_order(rng):
         assert np.allclose(v.conj().T @ v, np.eye(n), atol=1e-10)
 
 
+def test_eigvalsh_matches_eigh_values(rng):
+    for n in (1, 2, 5, 16, 64):
+        h = random_hermitian(rng, n)
+        w = eigvalsh(h)
+        assert np.all(np.diff(w) <= 0)  # descending, like eigh
+        assert np.max(np.abs(w - eigh(h)[0])) <= 1e-12
+
+
 def test_eigh_rejects_non_hermitian(rng):
     m = random_complex(rng, 4)
     m[0, 1] += 1.0  # ensure asymmetry
     with pytest.raises(TensorError):
         eigh(m)
+    with pytest.raises(TensorError):
+        eigvalsh(m)
 
 
 # ---------------------------------------------------------------------------
