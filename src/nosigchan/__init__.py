@@ -17,7 +17,6 @@ from .channels import (
     Channel,
     ChannelError,
     Instrument,
-    apply,
     channel_from_kraus,
     choi_from_map,
     compose_par,
@@ -26,7 +25,6 @@ from .channels import (
     instrument_sum,
     kraus_from_choi,
     link,
-    random_cptp,
     unitary_channel,
 )
 from .nosignal import (
@@ -36,8 +34,6 @@ from .nosignal import (
     build_realization_cc,
     build_semilocalizable,
     check_nosignaling_dir,
-    check_nosignaling_subset,
-    is_nosignaling,
     signaling_verdict,
     teleport_gadget,
     teleport_realization,
@@ -61,13 +57,12 @@ from .analysis import (
 __all__ = [
     "SystemLayout", "TensorError", "eigh", "embed", "gram_rank", "kron", "layout",
     "permute_systems", "ptrace", "ptranspose",
-    "Channel", "ChannelError", "Instrument", "apply", "channel_from_kraus",
+    "Channel", "ChannelError", "Instrument", "channel_from_kraus",
     "choi_from_map", "compose_par", "compose_seq", "identity_channel",
-    "instrument_sum", "kraus_from_choi", "link", "random_cptp", "unitary_channel",
+    "instrument_sum", "kraus_from_choi", "link", "unitary_channel",
     "RealizationSpec", "SignalingVerdict", "build_localizable",
     "build_realization_cc", "build_semilocalizable", "check_nosignaling_dir",
-    "check_nosignaling_subset", "is_nosignaling", "signaling_verdict",
-    "teleport_gadget", "teleport_realization",
+    "signaling_verdict", "teleport_gadget", "teleport_realization",
     "build_r_alpha_circuit", "build_r_alpha_kraus", "build_r_alpha_realization",
     "kraus_operators",
     "AnalysisReport", "FaceDimension", "analyze", "chsh_value", "extremality_rank",

@@ -20,7 +20,6 @@ from .tensor import eigh, gram_rank, ptrace, ptranspose
 from .channels import (
     Channel,
     IN_TAG,
-    KRAUS_CUTOFF,
     choi_layout,
     kraus_from_choi,
 )
@@ -96,15 +95,11 @@ def chsh_value(c: Channel) -> float:
     return abs(corr(0, 0) + corr(0, 1) + corr(1, 0) - corr(1, 1))
 
 
-def extremality_rank(
-    c: Channel,
-    cutoff: float = KRAUS_CUTOFF,
-    rel_tol: float = EXTREMALITY_REL_TOL,
-):
+def extremality_rank(c: Channel):
     """(number of Kraus, rank of {K_i† K_j}, full).  Full rank certifies extremality."""
-    ks = kraus_from_choi(c, cutoff=cutoff)
+    ks = kraus_from_choi(c)
     products = [a.conj().T @ b for a in ks for b in ks]
-    rank = gram_rank(products, rel_tol=rel_tol)
+    rank = gram_rank(products, rel_tol=EXTREMALITY_REL_TOL)
     r = len(ks)
     return r, rank, rank == r * r
 
@@ -190,9 +185,6 @@ def analyze(
     b_in_labels: Sequence[str],
     b_out_labels: Sequence[str],
     nosignal_tol: float = NOSIGNAL_TOL,
-    ppt_tol: float = PPT_TOL,
-    chsh_slack: float = CHSH_SLACK,
-    extremality_rel_tol: float = EXTREMALITY_REL_TOL,
 ) -> AnalysisReport:
     """Run every applicable verdict on a channel with the given bipartition."""
     verdict = signaling_verdict(
@@ -201,15 +193,15 @@ def analyze(
     min_eig = ppt_min_eig(c)
     if _chsh_applicable(c):
         chsh = chsh_value(c)
-        exceeds = bool(chsh > TSIRELSON + chsh_slack)
+        exceeds = bool(chsh > TSIRELSON + CHSH_SLACK)
     else:
         chsh = None
         exceeds = None
-    n_kraus, rank, full = extremality_rank(c, rel_tol=extremality_rel_tol)
+    n_kraus, rank, full = extremality_rank(c)
     return AnalysisReport(
         nosignaling=verdict,
         ppt_min_eigenvalue=min_eig,
-        ppt_violated=min_eig < -ppt_tol,
+        ppt_violated=min_eig < -PPT_TOL,
         chsh_value=chsh,
         chsh_exceeds_tsirelson=exceeds,
         n_kraus=n_kraus,
@@ -217,8 +209,8 @@ def analyze(
         extremality_full=full,
         tolerances={
             "nosignal_tol": nosignal_tol,
-            "ppt_tol": ppt_tol,
-            "chsh_slack": chsh_slack,
-            "extremality_rel_tol": extremality_rel_tol,
+            "ppt_tol": PPT_TOL,
+            "chsh_slack": CHSH_SLACK,
+            "extremality_rel_tol": EXTREMALITY_REL_TOL,
         },
     )

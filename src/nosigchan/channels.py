@@ -70,20 +70,18 @@ class Channel:
     def d_out(self) -> int:
         return self.out_layout.total_dim
 
-    def validate(self, cp_tol: float = CP_TOL, tp_tol: float = TP_TOL) -> "Channel":
+    def validate(self) -> "Channel":
         """Check complete positivity and trace preservation; returns self."""
-        herm = np.max(np.abs(self.choi - self.choi.conj().T))
-        if herm > cp_tol:
-            raise ChannelError(
-                f"not completely positive: Choi not Hermitian ({herm:.3e})"
-            )
-        w = eigvalsh(self.choi, tol=cp_tol * 10)
-        if w[-1] < -cp_tol:
+        try:
+            w = eigvalsh(self.choi, tol=CP_TOL)
+        except TensorError as exc:
+            raise ChannelError(f"not completely positive: {exc}") from exc
+        if w[-1] < -CP_TOL:
             raise ChannelError(
                 f"not completely positive: min Choi eigenvalue {w[-1]:.3e}"
             )
         dev = tp_residual(self.choi, self.out_layout, self.in_layout)
-        if dev > tp_tol:
+        if dev > TP_TOL:
             raise ChannelError(f"not trace-preserving: residual {dev:.3e}")
         return self
 
@@ -99,7 +97,6 @@ def channel_from_kraus(
     kraus: Sequence[np.ndarray],
     in_layout: SystemLayout,
     out_layout: SystemLayout,
-    tp_tol: float = TP_TOL,
 ) -> Channel:
     """Choi = sum_k |K_k>><<K_k| with |K>> the row-major flattening of K."""
     di, do = in_layout.total_dim, out_layout.total_dim
@@ -115,30 +112,21 @@ def channel_from_kraus(
         choi += np.outer(v, v.conj())
         comp += k.conj().T @ k
     dev = np.max(np.abs(comp - np.eye(di)))
-    if dev > tp_tol:
+    if dev > TP_TOL:
         raise ChannelError(f"Kraus completeness violated: sum K†K off by {dev:.3e}")
     return Channel(choi, in_layout, out_layout)
 
 
-def kraus_from_choi(c: Channel, cutoff: float = KRAUS_CUTOFF):
+def kraus_from_choi(c: Channel):
     """Spectral Kraus extraction: vectors sqrt(l_i)|v_i> reshaped to matrices."""
     w, v = eigh(c.choi)
     if w[-1] < -CP_TOL:
         raise ChannelError(f"Choi not CP: eigenvalue {w[-1]:.3e}")
     ks = []
     for lam, col in zip(w, v.T):
-        if lam > cutoff:
+        if lam > KRAUS_CUTOFF:
             ks.append(np.sqrt(lam) * col.reshape(c.d_out, c.d_in))
     return ks
-
-
-def apply(c: Channel, rho) -> np.ndarray:
-    """C(rho) = Tr_in[(I_out x rho^T) choi]."""
-    rho = as_matrix(rho)
-    if rho.shape != (c.d_in, c.d_in):
-        raise ChannelError(f"state shape {rho.shape}, channel input dim {c.d_in}")
-    r4 = c.choi.reshape(c.d_out, c.d_in, c.d_out, c.d_in)
-    return np.einsum("ki,akbi->ab", rho, r4)
 
 
 def choi_from_map(
@@ -271,63 +259,22 @@ class Instrument:
             self, "branch_chois", tuple(as_matrix(b) for b in self.branch_chois)
         )
 
-    def validate(self, cp_tol: float = CP_TOL, tp_tol: float = TP_TOL) -> "Instrument":
+    def validate(self) -> "Instrument":
         for x, b in zip(self.outcomes, self.branch_chois):
-            w = eigvalsh(b, tol=cp_tol * 10)
-            if w[-1] < -cp_tol:
+            w = eigvalsh(b, tol=CP_TOL * 10)
+            if w[-1] < -CP_TOL:
                 raise ChannelError(f"branch {x!r} not CP: eigenvalue {w[-1]:.3e}")
-        instrument_sum(self, tp_tol=tp_tol)
+        instrument_sum(self)
         return self
 
 
-def instrument_sum(ins: Instrument, tp_tol: float = TP_TOL) -> Channel:
+def instrument_sum(ins: Instrument) -> Channel:
     """Sum of branch Chois as a valid channel (fixed left-to-right order)."""
     total = np.zeros_like(ins.branch_chois[0])
     for b in ins.branch_chois:
         total = total + b
     c = Channel(total, ins.in_layout, ins.out_layout)
     dev = tp_residual(c.choi, c.out_layout, c.in_layout)
-    if dev > tp_tol:
+    if dev > TP_TOL:
         raise ChannelError(f"instrument branches do not sum to TP: residual {dev:.3e}")
     return c
-
-
-def random_cptp(
-    rng: np.random.Generator,
-    in_layout: SystemLayout,
-    out_layout: SystemLayout,
-    n_kraus: int = None,
-) -> Channel:
-    """Random CPTP channel from a Haar-ish isometry (QR of a Gaussian block)."""
-    di, do = in_layout.total_dim, out_layout.total_dim
-    if n_kraus is None:
-        n_kraus = max(2, di)
-    g = rng.standard_normal((do * n_kraus, di)) + 1j * rng.standard_normal((do * n_kraus, di))
-    q, _ = np.linalg.qr(g)  # isometry: q† q = I_di
-    ks = [q[i * do : (i + 1) * do, :] for i in range(n_kraus)]
-    return channel_from_kraus(ks, in_layout, out_layout)
-
-
-def random_instrument(
-    rng: np.random.Generator,
-    in_layout: SystemLayout,
-    out_layout: SystemLayout,
-    n_outcomes: int = 2,
-) -> Instrument:
-    """Random instrument: partition the Kraus set of a random channel."""
-    di, do = in_layout.total_dim, out_layout.total_dim
-    n_kraus = max(n_outcomes, di)
-    g = rng.standard_normal((do * n_kraus, di)) + 1j * rng.standard_normal((do * n_kraus, di))
-    q, _ = np.linalg.qr(g)
-    ks = [q[i * do : (i + 1) * do, :] for i in range(n_kraus)]
-    groups = [[] for _ in range(n_outcomes)]
-    for i, k in enumerate(ks):
-        groups[i % n_outcomes].append(k)
-    branches = []
-    for grp in groups:
-        b = np.zeros((do * di, do * di), dtype=complex)
-        for k in grp:
-            v = k.reshape(-1)
-            b += np.outer(v, v.conj())
-        branches.append(b)
-    return Instrument(tuple(branches), in_layout, out_layout)

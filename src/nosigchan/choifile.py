@@ -6,7 +6,7 @@ so serialize -> deserialize is exact on every double-precision entry.
 from __future__ import annotations
 
 import json
-from typing import Union
+from itertools import chain
 
 import numpy as np
 
@@ -25,12 +25,8 @@ def _layout_to_json(lay: SystemLayout):
 
 
 def _layout_from_json(items) -> SystemLayout:
-    try:
-        subs = tuple((s["label"], s["dim"]) for s in items)
-        bad = [d for _, d in subs if type(d) is not int or d < 1]  # bool is not int here
-        if bad:
-            raise ValueError(f"dims must be integers >= 1, got {bad}")
-        return SystemLayout(subs)
+    try:  # SystemLayout rejects a dim that is not an integer >= 1, bool included
+        return SystemLayout(tuple((s["label"], s["dim"]) for s in items))
     except (KeyError, TypeError, ValueError) as exc:  # TensorError is a ValueError
         raise ChoiFileError(f"bad dims entry: {exc}") from exc
 
@@ -45,6 +41,15 @@ def channel_to_dict(c: Channel) -> dict:
 
 
 def channel_from_dict(data: dict) -> Channel:
+    """The channel a parsed file describes; a boolean cell entry is an error."""
+    c = _channel_from_dict(data)
+    if bool in map(type, chain.from_iterable(chain.from_iterable(data["choi"]))):
+        raise ChoiFileError("bad matrix cell: true/false is not a number")
+    return c
+
+
+def _channel_from_dict(data: dict) -> Channel:
+    """channel_from_dict without the scan for booleans (which read as 1 and 0)."""
     if not isinstance(data, dict):
         raise ChoiFileError("top level must be an object")
     version = data.get("format_version")
@@ -80,7 +85,12 @@ def save_channel(c: Channel, path) -> None:
 def load_channel(path) -> Channel:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            text = fh.read()
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ChoiFileError(f"not valid JSON: {exc}") from exc
-    return channel_from_dict(data)
+    # JSON spells a boolean only as true or false: without either word in the
+    # text, the per-number scan of channel_from_dict has nothing to find.
+    if "true" in text or "false" in text:
+        return channel_from_dict(data)
+    return _channel_from_dict(data)

@@ -7,6 +7,7 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -61,31 +62,6 @@ def _split_party(c, labels):
     return in_labels, out_labels
 
 
-def _verdict_dict(report: analysis.AnalysisReport) -> dict:
-    v = report.nosignaling
-    return {
-        "nosignaling": {
-            "a_to_b": bool(v.a_to_b),
-            "b_to_a": bool(v.b_to_a),
-            "residual_a": float(v.residual_a),
-            "residual_b": float(v.residual_b),
-            "tolerance": float(v.tolerance),
-        },
-        "ppt_min_eigenvalue": float(report.ppt_min_eigenvalue),
-        "ppt_violated": bool(report.ppt_violated),
-        "chsh_value": None if report.chsh_value is None else float(report.chsh_value),
-        "chsh_exceeds_tsirelson": (
-            None
-            if report.chsh_exceeds_tsirelson is None
-            else bool(report.chsh_exceeds_tsirelson)
-        ),
-        "n_kraus": int(report.n_kraus),
-        "extremality_rank": int(report.extremality_rank),
-        "extremality_full": bool(report.extremality_full),
-        "tolerances": {k: float(t) for k, t in report.tolerances.items()},
-    }
-
-
 def cmd_reproduce(args) -> int:
     alpha = args.alpha
     tol = args.tol
@@ -122,7 +98,7 @@ def cmd_reproduce(args) -> int:
             "circuit_variants": res_variants,
             "tolerance": tol,
         },
-        "analysis": _verdict_dict(report),
+        "analysis": dataclasses.asdict(report),
         "checks": {name: ok for name, ok in checks},
     }
     text = _report_json(out)
@@ -160,7 +136,7 @@ def cmd_check(args) -> int:
         )
         return EXIT_USAGE
     report = analysis.analyze(c, a_in, a_out, b_in, b_out)
-    sys.stdout.write(_report_json({"file": args.file, "analysis": _verdict_dict(report)}))
+    sys.stdout.write(_report_json({"file": args.file, "analysis": dataclasses.asdict(report)}))
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from .tensor import (
     permute_vector,
     vector_bra_contract,
 )
-from .channels import Channel, Instrument, choi_from_map, instrument_sum, link
+from .channels import Channel, Instrument, channel_from_kraus, choi_from_map, instrument_sum, link
 from .nosignal import RealizationSpec, build_realization_cc
 
 IN_LAYOUT = layout("A", "B")
@@ -93,12 +93,7 @@ def kraus_operators(alpha: float):
 
 def build_r_alpha_kraus(alpha: float) -> Channel:
     """Choi operator from the closed-form Kraus vectors."""
-    ks = kraus_operators(alpha)
-    choi = np.zeros((64, 64), dtype=complex)
-    for k in ks:
-        v = k.reshape(-1)
-        choi += np.outer(v, v.conj())
-    return Channel(choi, IN_LAYOUT, OUT_LAYOUT)
+    return channel_from_kraus(kraus_operators(alpha), IN_LAYOUT, OUT_LAYOUT)
 
 
 def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Instrument:
@@ -219,7 +214,7 @@ def realization_spec(alpha: float, direction: str = "B_to_A") -> RealizationSpec
     instrument = Instrument(
         tuple(b.choi for b in branches), b0.in_layout, b0.out_layout, tuple(outcomes)
     )
-    return RealizationSpec(direction, 4, instrument, tuple(corrections))
+    return RealizationSpec(direction, instrument, tuple(corrections))
 
 
 def build_r_alpha_realization(alpha: float, direction: str = "B_to_A") -> Channel:

@@ -31,8 +31,6 @@ from .channels import (
     IN_TAG,
     OUT_TAG,
     choi_layout,
-    compose_par,
-    identity_channel,
     link,
     tp_residual,
     unitary_channel,
@@ -86,32 +84,6 @@ def _factorization_deviation(
     return mp - kron(np.eye(ds), s), s, play.drop(sender_tags)
 
 
-def _factorization_residual(
-    c: Channel,
-    in_subset: Sequence[str],
-    out_subset: Sequence[str],
-):
-    """Residual max|deviation| of Tr_{out_subset}[choi] = I_{in_subset} (x) S.
-
-    Returns (residual, S, S_layout); see `_factorization_deviation`.
-    """
-    dev, s, s_lay = _factorization_deviation(
-        c.choi, c.in_layout, c.out_layout, in_subset, out_subset
-    )
-    return float(np.max(np.abs(dev))), s, s_lay
-
-
-def check_nosignaling_subset(
-    c: Channel,
-    in_subset: Sequence[str],
-    out_subset: Sequence[str],
-    tol: float = NOSIGNAL_TOL,
-):
-    """Generalized no-signaling condition for arbitrary input/output subsets."""
-    residual, _, _ = _factorization_residual(c, in_subset, out_subset)
-    return residual <= tol, residual
-
-
 def check_nosignaling_dir(
     c: Channel,
     sender_in_labels: Sequence[str],
@@ -120,10 +92,15 @@ def check_nosignaling_dir(
 ):
     """Can the sender side signal to the rest?  Returns (no_signaling, residual).
 
-    When the factorization holds, the marginal S is additionally verified to
-    be a well-formed channel Choi on the receiver side.
+    The residual is max|deviation| of Tr_{sender out}[choi] = I_{sender in} (x) S
+    (see `_factorization_deviation`); the label lists may be any subsets.  When
+    the factorization holds, the marginal S is additionally verified to be a
+    well-formed channel Choi on the receiver side.
     """
-    residual, s, s_lay = _factorization_residual(c, sender_in_labels, sender_out_labels)
+    dev, s, s_lay = _factorization_deviation(
+        c.choi, c.in_layout, c.out_layout, sender_in_labels, sender_out_labels
+    )
+    residual = float(np.max(np.abs(dev)))
     ok = residual <= tol
     if ok:
         n_out = sum(1 for l in s_lay.labels if l.endswith(OUT_TAG))
@@ -131,11 +108,11 @@ def check_nosignaling_dir(
         in_lay = SystemLayout(s_lay.subsystems[n_out:])
         w = eigvalsh(s, tol=1e-7)
         marg = ptrace(s, s_lay, out_lay.labels)
-        dev = np.max(np.abs(marg - np.eye(in_lay.total_dim)))
-        if w[-1] < -1e-7 or dev > 1e-7:
+        tp_dev = np.max(np.abs(marg - np.eye(in_lay.total_dim)))
+        if w[-1] < -1e-7 or tp_dev > 1e-7:
             raise ChannelError(
                 f"marginal passed the factorization test but is not a channel "
-                f"(min eig {w[-1]:.3e}, TP residual {dev:.3e})"
+                f"(min eig {w[-1]:.3e}, TP residual {tp_dev:.3e})"
             )
     return ok, residual
 
@@ -151,12 +128,6 @@ def signaling_verdict(
     ok_a, res_a = check_nosignaling_dir(c, a_in_labels, a_out_labels, tol)
     ok_b, res_b = check_nosignaling_dir(c, b_in_labels, b_out_labels, tol)
     return SignalingVerdict(ok_a, ok_b, res_a, res_b, tol)
-
-
-def is_nosignaling(c, a_in_labels, a_out_labels, b_in_labels, b_out_labels,
-                   tol: float = NOSIGNAL_TOL) -> bool:
-    v = signaling_verdict(c, a_in_labels, a_out_labels, b_in_labels, b_out_labels, tol)
-    return v.a_to_b and v.b_to_a
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +177,11 @@ class RealizationSpec:
     sent to B, which applies the matching correction channel; "B_to_A" is the
     mirror image.  The instrument input is (sender systems ..., E_sender) and
     each correction input is (receiver systems ..., E_receiver), ancillas
-    last, jointly fed with the pair (1/sqrt d)|I>>.
+    last, jointly fed with the pair (1/sqrt d)|I>>; d is the instrument's
+    ancilla dimension, and a correction whose ancilla differs is rejected.
     """
 
     direction: str
-    ancilla_dim: int
     instrument: Instrument
     corrections: Tuple[Channel, ...]
 
@@ -230,13 +201,14 @@ class RealizationSpec:
 def build_realization_cc(spec: RealizationSpec) -> Channel:
     """Sum over outcomes of (instrument branch (x) correction) on the shared pair."""
     ins = spec.instrument
+    d = ins.in_layout.dims[-1]
     total = None
     for branch, corr in zip(ins.branch_chois, spec.corrections):
         piece = Channel(branch, ins.in_layout, ins.out_layout)
         if spec.direction == "A_to_B":
-            part = build_localizable(piece, corr, spec.ancilla_dim)
+            part = build_localizable(piece, corr, d)
         else:
-            part = build_localizable(corr, piece, spec.ancilla_dim)
+            part = build_localizable(corr, piece, d)
         total = part.choi if total is None else total + part.choi
     out = Channel(total, part.in_layout, part.out_layout)
     dev = tp_residual(out.choi, out.out_layout, out.in_layout)
@@ -285,35 +257,23 @@ def teleport_gadget(d: int):
 def teleport_realization(v1: Channel, v2: Channel) -> Channel:
     """Replace the relay wire of a one-way realization by teleportation.
 
-    Builds the one-round classical-communication form: Bell-measure the relay
-    against half of a shared pair on the A side, send the outcome, correct and
-    run v2 on the B side.  Equals build_semilocalizable(v1, v2) exactly.
+    The relay becomes a one-round classical-communication wire: Bell-measure
+    it against half of a shared pair on the A side, send the outcome, and
+    apply the matching X^p Z^q to the other half on the B side.  v1 feeds that
+    wire and the wire feeds v2, so the result equals
+    build_semilocalizable(v1, v2).
     """
-    relay = v1.out_layout.labels[-1]
     e = v1.out_layout.dims[-1]
     bells, cors = teleport_gadget(e)
-
-    # Branch x: v1, then the effect rho -> <B_x|rho|B_x> on (relay, E_A).
-    bell_in = SystemLayout(((relay, e), (_EA, e)))
-    branches = [
-        link(v1, Channel(np.outer(b.conj(), b), bell_in, SystemLayout(())), [relay])
-        for b in bells
-    ]
+    # Outcome x: the effect rho -> <B_x|rho|B_x> on (relay, E_A), then X^p Z^q
+    # from E_B onto the relay.
     instrument = Instrument(
-        tuple(br.choi for br in branches), branches[0].in_layout, branches[0].out_layout
+        tuple(np.outer(b.conj(), b) for b in bells),
+        SystemLayout(((_RELAY, e), (_EA, e))),
+        SystemLayout(()),
     )
-
-    # Correction x: X^p Z^q from E_B onto v2's relay input, B systems passed through.
-    b_sys = SystemLayout(v2.in_layout.subsystems[1:])
-    eb = SystemLayout(((_EB, e),))
-    relay_in = SystemLayout(v2.in_layout.subsystems[:1])
-    corrections = tuple(
-        link(
-            compose_par(identity_channel(b_sys), unitary_channel(u, eb, relay_in)),
-            v2,
-            v2.in_layout.labels,
-        )
-        for u in cors
-    )
-    spec = RealizationSpec("A_to_B", e, instrument, corrections)
-    return build_realization_cc(spec)
+    eb, relay = SystemLayout(((_EB, e),)), SystemLayout(((_RELAY, e),))
+    corrections = tuple(unitary_channel(u, eb, relay) for u in cors)
+    wire = build_realization_cc(RealizationSpec("A_to_B", instrument, corrections))
+    v1_relay = Channel(v1.choi, v1.in_layout, _renamed(v1.out_layout, -1, _RELAY))
+    return build_semilocalizable(link(v1_relay, wire, [_RELAY]), v2)

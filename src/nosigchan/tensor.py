@@ -6,6 +6,7 @@ significant.  A layout ``[(A, dA), (B, dB)]`` indexes basis states as
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
@@ -16,6 +17,16 @@ HERMITICITY_TOL = 1e-10
 
 class TensorError(ValueError):
     """Bad layout, label, or dimension in a tensor operation."""
+
+
+def _dimension(label, d) -> int:
+    """d as an int; a float or bool dimension is an error, never truncated."""
+    if not isinstance(d, (bool, np.bool_)):
+        try:
+            return operator.index(d)
+        except TypeError:
+            pass
+    raise TensorError(f"subsystem {label!r} has non-integer dimension {d!r}")
 
 
 @dataclass(frozen=True)
@@ -29,7 +40,7 @@ class SystemLayout:
     subsystems: Tuple[Tuple[str, int], ...]
 
     def __post_init__(self):
-        subs = tuple((str(l), int(d)) for l, d in self.subsystems)
+        subs = tuple((str(l), _dimension(l, d)) for l, d in self.subsystems)
         object.__setattr__(self, "subsystems", subs)
         labels = [l for l, _ in subs]
         if len(set(labels)) != len(labels):

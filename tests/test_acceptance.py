@@ -12,8 +12,6 @@ from nosigchan.channels import (
     channel_from_kraus,
     identity_channel,
     kraus_from_choi,
-    random_cptp,
-    random_instrument,
 )
 from nosigchan.nosignal import (
     RealizationSpec,
@@ -36,7 +34,7 @@ from nosigchan.analysis import (
     ns_face_dimension,
     ppt_min_eig,
 )
-from conftest import random_hermitian, random_density
+from conftest import random_cptp, random_density, random_hermitian, random_instrument
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -137,7 +135,7 @@ def test_criterion_6_realization_no_signaling_suite():
                 random_cptp(rng, layout(rcv[0], rcv[2]), layout(rcv[1]))
                 for _ in range(n)
             )
-            c = build_realization_cc(RealizationSpec(direction, 2, ins, cors))
+            c = build_realization_cc(RealizationSpec(direction, ins, cors))
             ok_dir, res = check_nosignaling_dir(c, [rcv[0]], [rcv[1]])
             worst = max(worst, res)
             count += 1

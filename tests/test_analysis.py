@@ -1,6 +1,9 @@
 """Verdicts: PPT entanglement witness, CHSH against the Tsirelson bound, and
 the two extremality certificates (among all channels, among no-signaling
 channels)."""
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +17,9 @@ from nosigchan.channels import (
     compose_par,
     identity_channel,
     prepare_channel,
-    random_cptp,
     unitary_channel,
 )
-from nosigchan.nosignal import build_localizable, signaling_verdict
+from nosigchan.nosignal import NOSIGNAL_TOL, build_localizable, signaling_verdict
 from nosigchan.counterexample import (
     IN_LAYOUT,
     OUT_LAYOUT,
@@ -25,6 +27,8 @@ from nosigchan.counterexample import (
 )
 from nosigchan.analysis import (
     CHSH_SLACK,
+    EXTREMALITY_REL_TOL,
+    PPT_TOL,
     TSIRELSON,
     analyze,
     chsh_value,
@@ -32,7 +36,7 @@ from nosigchan.analysis import (
     ns_face_dimension,
     ppt_min_eig,
 )
-from conftest import random_density
+from conftest import random_cptp, random_density
 
 R_WIRES = (["A"], ["A", "W_A"], ["B"], ["W_B", "B"])
 
@@ -310,3 +314,29 @@ def test_analyze_skips_chsh_on_other_layouts(rng):
     rep = analyze(c, ["A"], ["Ap"], ["B"], ["Bp"])
     assert rep.chsh_value is None
     assert rep.chsh_exceeds_tsirelson is None
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        for v in x.values():
+            yield from _leaves(v)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0 / 6.0, 0.3, 1.0])
+def test_report_leaves_are_builtin_scalars(alpha, rng):
+    # The CLI prints dataclasses.asdict(report) with json.dumps, which raises
+    # on a NumPy bool; type() is strict, so a NumPy float fails here too.
+    reports = [analyze(build_r_alpha_kraus(alpha), *R_WIRES)]
+    c = random_cptp(rng, layout("A", "B"), layout("Ap", "Bp"))
+    reports.append(analyze(c, ["A"], ["Ap"], ["B"], ["Bp"]))
+    assert reports[1].chsh_value is None
+    for rep in reports:
+        tree = dataclasses.asdict(rep)
+        assert {type(v) for v in _leaves(tree)} <= {bool, int, float, type(None)}
+        json.dumps(tree)
+        assert tree["tolerances"] == {
+            "nosignal_tol": NOSIGNAL_TOL, "ppt_tol": PPT_TOL,
+            "chsh_slack": CHSH_SLACK, "extremality_rel_tol": EXTREMALITY_REL_TOL,
+        }

@@ -8,7 +8,6 @@ from nosigchan.channels import (
     Channel,
     ChannelError,
     Instrument,
-    apply,
     channel_from_kraus,
     choi_from_map,
     compose_par,
@@ -18,12 +17,10 @@ from nosigchan.channels import (
     kraus_from_choi,
     link,
     prepare_channel,
-    random_cptp,
-    random_instrument,
     tp_residual,
     unitary_channel,
 )
-from conftest import random_density
+from conftest import apply, random_cptp, random_density, random_instrument
 
 
 def random_unitary(rng, n):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import layout
-from nosigchan.channels import identity_channel, random_cptp
+from nosigchan.channels import identity_channel
 from nosigchan.choifile import (
     ChoiFileError,
     channel_from_dict,
@@ -16,6 +16,8 @@ from nosigchan.choifile import (
 from nosigchan.counterexample import build_r_alpha_kraus
 from nosigchan.cli import main
 from nosigchan.nosignal import NOSIGNAL_TOL
+
+from conftest import random_cptp
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,10 @@ def test_from_dict_rejects_malformed():
         channel_from_dict(bad)
     with pytest.raises(ChoiFileError):
         channel_from_dict([1, 2, 3])
+    choi = [row[:] for row in good["choi"]]
+    choi[0][0] = [True, False]  # reads as 1 + 0j unless rejected
+    with pytest.raises(ChoiFileError):
+        channel_from_dict(dict(good, choi=choi))
 
 
 def test_load_rejects_non_json(tmp_path):
@@ -236,6 +242,7 @@ MALFORMED = {
     "cell-overflows-float": lambda d: d["choi"][0].__setitem__(1, [10**400, 0]),
     "dim-not-an-integer": lambda d: _set_every_dim(d, 2.7),
     "cell-of-three-numbers": lambda d: d["choi"][0][1].append(1.0),
+    "cell-of-booleans": lambda d: d["choi"][0].__setitem__(0, [True, False]),
 }
 
 

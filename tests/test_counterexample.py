@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import kron, layout, max_entangled_vec, pauli, ptrace
-from nosigchan.channels import apply, choi_layout, instrument_sum
+from nosigchan.channels import choi_layout, instrument_sum
 from nosigchan.nosignal import build_realization_cc, signaling_verdict
 from nosigchan.counterexample import (
     IN_LAYOUT,
@@ -20,7 +20,7 @@ from nosigchan.counterexample import (
     pair_state_vec,
     realization_spec,
 )
-from conftest import random_density
+from conftest import apply, random_density
 
 ALPHA_GRID = [0.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -140,7 +140,7 @@ def test_realization_route_agrees_both_directions():
 
 def test_realization_spec_is_well_formed():
     spec = realization_spec(0.25)
-    assert spec.ancilla_dim == 4
+    assert spec.instrument.in_layout.dims[-1] == 4
     assert len(spec.corrections) == 4
     spec.instrument.validate()
     build_realization_cc(spec).validate()

@@ -64,6 +64,12 @@ def test_layout_errors():
         layout("A", "A")
     with pytest.raises(TensorError):
         layout(("A", 0))
+    # a dimension is an integer: never truncated from a float, never a bool
+    with pytest.raises(TensorError):
+        SystemLayout((("A", 2.7),))
+    with pytest.raises(TensorError):
+        SystemLayout((("A", True),))
+    assert SystemLayout((("A", np.int64(3)),)).dims == (3,)
     lay = layout("A", "B")
     with pytest.raises(TensorError):
         lay.index("Z")
