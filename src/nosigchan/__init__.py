@@ -16,19 +16,17 @@ from .tensor import (
 from .channels import (
     Channel,
     ChannelError,
-    Instrument,
     channel_from_kraus,
     choi_from_map,
     compose_par,
     compose_seq,
     identity_channel,
-    instrument_sum,
     kraus_from_choi,
     link,
+    outcome_stack,
     unitary_channel,
 )
 from .nosignal import (
-    RealizationSpec,
     SignalingVerdict,
     build_localizable,
     build_realization_cc,
@@ -57,10 +55,10 @@ from .analysis import (
 __all__ = [
     "SystemLayout", "TensorError", "eigh", "embed", "gram_rank", "kron", "layout",
     "permute_systems", "ptrace", "ptranspose",
-    "Channel", "ChannelError", "Instrument", "channel_from_kraus",
+    "Channel", "ChannelError", "channel_from_kraus",
     "choi_from_map", "compose_par", "compose_seq", "identity_channel",
-    "instrument_sum", "kraus_from_choi", "link", "unitary_channel",
-    "RealizationSpec", "SignalingVerdict", "build_localizable",
+    "kraus_from_choi", "link", "outcome_stack", "unitary_channel",
+    "SignalingVerdict", "build_localizable",
     "build_realization_cc", "build_semilocalizable", "check_nosignaling_dir",
     "signaling_verdict", "teleport_gadget", "teleport_realization",
     "build_r_alpha_circuit", "build_r_alpha_kraus", "build_r_alpha_realization",

@@ -1,13 +1,15 @@
-"""Channels and instruments as first-class values.
+"""Channels as first-class values.
 
 A channel is stored by its Choi operator in the unnormalized-|I>> convention:
 R = (C x Id)(|I>><<I|), factor order (outputs, inputs), so Tr R = dim(in).
+An instrument is a channel with one more, classical, output wire carrying
+its outcome (`outcome_stack`).
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -161,11 +163,6 @@ def unitary_channel(u, in_layout: SystemLayout, out_layout: SystemLayout = None)
     return channel_from_kraus([u], in_layout, out_layout)
 
 
-def prepare_channel(sigma, out_layout: SystemLayout, in_layout: SystemLayout) -> Channel:
-    """Discard the input and prepare the fixed state sigma."""
-    return Channel(kron(sigma, np.eye(in_layout.total_dim)), in_layout, out_layout)
-
-
 def link(first: Channel, second: Channel, over: Sequence[str]) -> Channel:
     """Link product: feed first's outputs named in `over` into second's inputs.
 
@@ -238,43 +235,19 @@ def compose_par(a: Channel, b: Channel) -> Channel:
     return link(a, b, ())
 
 
-@dataclass(frozen=True)
-class Instrument:
-    """Outcome-indexed family of CP maps summing to a channel.
+def outcome_stack(chois: Sequence[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
+    """Choi R[o,x,i; o',x',i'] = delta_xx' B_x[o,i; o',i'] of the branches B_x.
 
-    Each branch is stored as a Choi operator over the shared layouts.
+    The classical wire x sits between the output and the input factors, so
+    the same matrix is the instrument with outcome x as its last output and
+    the family of maps B_x selected by a message x as its first input.
+    Tracing x out sums the branches.
     """
-
-    branch_chois: Tuple[np.ndarray, ...]
-    in_layout: SystemLayout
-    out_layout: SystemLayout
-    outcomes: Tuple = field(default=None)
-
-    def __post_init__(self):
-        if self.outcomes is None:
-            object.__setattr__(self, "outcomes", tuple(range(len(self.branch_chois))))
-        if len(self.outcomes) != len(self.branch_chois):
-            raise ChannelError("outcome list must match branch count")
-        object.__setattr__(
-            self, "branch_chois", tuple(as_matrix(b) for b in self.branch_chois)
-        )
-
-    def validate(self) -> "Instrument":
-        for x, b in zip(self.outcomes, self.branch_chois):
-            w = eigvalsh(b, tol=CP_TOL * 10)
-            if w[-1] < -CP_TOL:
-                raise ChannelError(f"branch {x!r} not CP: eigenvalue {w[-1]:.3e}")
-        instrument_sum(self)
-        return self
-
-
-def instrument_sum(ins: Instrument) -> Channel:
-    """Sum of branch Chois as a valid channel (fixed left-to-right order)."""
-    total = np.zeros_like(ins.branch_chois[0])
-    for b in ins.branch_chois:
-        total = total + b
-    c = Channel(total, ins.in_layout, ins.out_layout)
-    dev = tp_residual(c.choi, c.out_layout, c.in_layout)
-    if dev > TP_TOL:
-        raise ChannelError(f"instrument branches do not sum to TP: residual {dev:.3e}")
-    return c
+    n, m = len(chois), d_out * d_in
+    r = np.zeros((d_out, n, d_in, d_out, n, d_in), dtype=complex)
+    for x, b in enumerate(chois):
+        b = as_matrix(b)
+        if b.shape != (m, m):
+            raise ChannelError(f"branch {x} has shape {b.shape}, expected {(m, m)}")
+        r[:, x, :, :, x, :] = b.reshape(d_out, d_in, d_out, d_in)
+    return r.reshape(m * n, m * n)

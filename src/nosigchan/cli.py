@@ -124,6 +124,11 @@ def cmd_check(args) -> int:
     except ChannelError as exc:
         sys.stderr.write(f"not a channel: {exc}\n")
         return EXIT_CHECK_FAILED
+    wires = set(c.in_layout.labels + c.out_layout.labels)
+    unknown = [l for l in args.sender + args.receiver if l not in wires]
+    if unknown:
+        sys.stderr.write(f"error: no wire is labelled {', '.join(map(repr, unknown))}\n")
+        return EXIT_USAGE
     a_in, a_out = _split_party(c, args.sender)
     b_in, b_out = _split_party(c, args.receiver)
     covered_in = sorted(a_in + b_in)

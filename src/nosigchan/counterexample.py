@@ -17,7 +17,6 @@ import numpy as np
 
 from .tensor import (
     SystemLayout,
-    TensorError,
     bra_sandwich,
     controlled_swap,
     embed,
@@ -27,13 +26,17 @@ from .tensor import (
     pauli,
     permute_to,
     permute_vector,
+    ptrace,
     vector_bra_contract,
 )
-from .channels import Channel, Instrument, channel_from_kraus, choi_from_map, instrument_sum, link
-from .nosignal import RealizationSpec, build_realization_cc
+from .channels import (OUT_TAG, TP_TOL, Channel, ChannelError, channel_from_kraus, choi_from_map,
+                       choi_layout, link, outcome_stack, tp_residual)
+from .nosignal import build_realization_cc
 
 IN_LAYOUT = layout("A", "B")
 OUT_LAYOUT = layout("A", "W_A", "W_B", "B")
+# The classical outcome x = 2m + n of the two computational-basis measurements.
+_OUTCOME = layout(("#outcome", 4))
 
 VARIANT_SIGMA_ON_A = "sigma_on_A"
 VARIANT_SIGMA_ON_B = "sigma_on_B"
@@ -96,8 +99,8 @@ def build_r_alpha_kraus(alpha: float) -> Channel:
     return channel_from_kraus(kraus_operators(alpha), IN_LAYOUT, OUT_LAYOUT)
 
 
-def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Instrument:
-    """The measurement circuit as a four-branch instrument, outcomes (m, n)."""
+def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
+    """The measurement circuit as an instrument: outcome x = 2m + n on the last output."""
     alpha = _check_alpha(alpha)
     if variant not in (VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B):
         raise ValueError(f"unknown variant {variant!r}")
@@ -114,7 +117,6 @@ def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Instr
         sigma = embed(_controlled_sigma_x(), ["W_B", "B"], lay4)
 
     branches = []
-    outcomes = []
     for m in range(2):
         for n in range(2):
             bra = np.zeros(4, dtype=complex)
@@ -130,13 +132,19 @@ def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Instr
                 return s
 
             branches.append(choi_from_map(fn, IN_LAYOUT, OUT_LAYOUT).choi)
-            outcomes.append((m, n))
-    return Instrument(tuple(branches), IN_LAYOUT, OUT_LAYOUT, tuple(outcomes))
+    return Channel(outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim),
+                   IN_LAYOUT, OUT_LAYOUT.concat(_OUTCOME))
 
 
 def build_r_alpha_circuit(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
     """Choi operator by direct density-matrix simulation of the circuit."""
-    return instrument_sum(circuit_instrument(alpha, variant))
+    ins = circuit_instrument(alpha, variant)
+    lay = choi_layout(ins.out_layout, ins.in_layout)
+    c = Channel(ptrace(ins.choi, lay, [_OUTCOME.labels[0] + OUT_TAG]), IN_LAYOUT, OUT_LAYOUT)
+    dev = tp_residual(c.choi, c.out_layout, c.in_layout)
+    if dev > TP_TOL:
+        raise ChannelError(f"circuit branches do not sum to TP: residual {dev:.3e}")
+    return c
 
 
 def _nielsen_filters(alpha: float):
@@ -158,15 +166,17 @@ def _cp_map(kraus, in_layout: SystemLayout, out_layout: SystemLayout) -> Channel
     return Channel(vs.T @ vs.conj(), in_layout, out_layout)
 
 
-def realization_spec(alpha: float, direction: str = "B_to_A") -> RealizationSpec:
+def realization_spec(alpha: float, direction: str = "B_to_A") -> tuple[Channel, Channel]:
     """Strict one-round classical-communication form over a (1/2)|I>> pair.
 
-    The dim-4 ancilla halves are (X, W) qubit pairs.  The sender filters its
-    W half so the shared W pair ends up in the circuit's non-maximally
-    entangled state, then runs its half of the circuit; the receiver applies
-    the filtering correction and its half, firing sigma_x iff both
-    computational outcomes were 1.  Direction "B_to_A" puts the sigma_x on
-    the A side (the original circuit); "A_to_B" is the mirrored variant.
+    Returns (sender, receiver) for `build_realization_cc`.  The dim-4 ancilla
+    halves are (X, W) qubit pairs.  The sender filters its W half so the
+    shared W pair ends up in the circuit's non-maximally entangled state,
+    then runs its half of the circuit and sends the outcome (measured bit,
+    filter outcome); the receiver applies the filtering correction and its
+    half, firing sigma_x iff both computational outcomes were 1.  Direction
+    "B_to_A" puts the sigma_x on the A side (the original circuit); "A_to_B"
+    is the mirrored variant.
     """
     alpha = _check_alpha(alpha)
     if direction not in ("A_to_B", "B_to_A"):
@@ -199,22 +209,21 @@ def realization_spec(alpha: float, direction: str = "B_to_A") -> RealizationSpec
     fire_lay = layout("X_" + rcv, "W_" + rcv, rcv)
     fire = _cp_map([kron(_P0, np.eye(4)) + kron(_P1, _controlled_sigma_x())], fire_lay, fire_lay)
     branches = []
-    outcomes = []
     corrections = []
     for meas in range(2):
         for k in range(2):
             branches.append(drop_x(then_swap(on_w(snd, m_ops[k]), snd), snd, [bras[meas]]))
-            outcomes.append((meas, k))
             got = then_swap(on_w(rcv, pauli("x") if k == 1 else i2), rcv)
             if meas == 1:
                 got = link(got, fire, fire_lay.labels)
             corrections.append(drop_x(got, rcv, bras))
 
-    b0 = branches[0]
-    instrument = Instrument(
-        tuple(b.choi for b in branches), b0.in_layout, b0.out_layout, tuple(outcomes)
-    )
-    return RealizationSpec(direction, instrument, tuple(corrections))
+    b0, c0 = branches[0], corrections[0]
+    sender = Channel(outcome_stack([b.choi for b in branches], b0.d_out, b0.d_in),
+                     b0.in_layout, b0.out_layout.concat(_OUTCOME))
+    receiver = Channel(outcome_stack([c.choi for c in corrections], c0.d_out, c0.d_in),
+                       _OUTCOME.concat(c0.in_layout), c0.out_layout)
+    return sender, receiver
 
 
 def build_r_alpha_realization(alpha: float, direction: str = "B_to_A") -> Channel:
@@ -222,4 +231,4 @@ def build_r_alpha_realization(alpha: float, direction: str = "B_to_A") -> Channe
 
     Either direction gives the output order (A, W_A) ++ (W_B, B).
     """
-    return build_realization_cc(realization_spec(alpha, direction))
+    return build_realization_cc(direction, *realization_spec(alpha, direction))

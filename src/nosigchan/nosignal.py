@@ -9,7 +9,7 @@ ancilla pair, optionally with one round of classical communication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -19,19 +19,21 @@ from .tensor import (
     clock_op,
     eigvalsh,
     kron,
+    layout,
     max_entangled_vec,
     permute_to,
     ptrace,
     shift_op,
 )
 from .channels import (
+    CP_TOL,
     Channel,
     ChannelError,
-    Instrument,
     IN_TAG,
     OUT_TAG,
     choi_layout,
     link,
+    outcome_stack,
     tp_residual,
     unitary_channel,
 )
@@ -135,13 +137,17 @@ def signaling_verdict(
 #
 # Local pieces follow one convention: a piece acting on one party's side takes
 # (party systems ..., ancilla subsystem) as input, ancilla LAST, and maps to
-# that party's outputs.
+# that party's outputs.  A classical message is an outcome wire (see
+# channels.outcome_stack): the sender's last output, the receiver's first input.
 
 
 # Private wire labels, so that the pieces' own labels never collide with them.
 _EA = "#E_A"
 _EB = "#E_B"
 _RELAY = "#relay"
+_ES = "#E_sender"
+_ER = "#E_receiver"
+_MSG = "#message"
 
 
 def _renamed(lay: SystemLayout, index: int, label: str) -> SystemLayout:
@@ -149,6 +155,11 @@ def _renamed(lay: SystemLayout, index: int, label: str) -> SystemLayout:
     subs = list(lay.subsystems)
     subs[index] = (label, subs[index][1])
     return SystemLayout(tuple(subs))
+
+
+def _rotated(lay: SystemLayout, k: int) -> SystemLayout:
+    """lay with its first k subsystems moved to the end."""
+    return SystemLayout(lay.subsystems[k:] + lay.subsystems[:k])
 
 
 def build_localizable(g_a: Channel, g_b: Channel, d: int) -> Channel:
@@ -169,48 +180,42 @@ def build_localizable(g_a: Channel, g_b: Channel, d: int) -> Channel:
     return link(link(pair, a, [_EA]), b, [_EB])
 
 
-@dataclass(frozen=True)
-class RealizationSpec:
-    """One-round classical-communication realization of a channel.
+def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> Channel:
+    """One round of classical communication over a shared maximally entangled pair.
 
-    direction "A_to_B": the instrument sits on the A side and its outcome is
-    sent to B, which applies the matching correction channel; "B_to_A" is the
-    mirror image.  The instrument input is (sender systems ..., E_sender) and
-    each correction input is (receiver systems ..., E_receiver), ancillas
-    last, jointly fed with the pair (1/sqrt d)|I>>; d is the instrument's
-    ancilla dimension, and a correction whose ancilla differs is rejected.
+    direction "A_to_B": the sender is A's instrument (A systems ..., E_A) ->
+    (A outputs ..., message) and the receiver is B's family of maps
+    (message, B systems ..., E_B) -> B outputs, one per message value (see
+    `channels.outcome_stack`); "B_to_A" swaps the parties.  The pair's
+    dimension is the sender's ancilla dimension; link rejects a receiver whose
+    ancilla or message dimension differs.  The result has A's wires first.
     """
-
-    direction: str
-    instrument: Instrument
-    corrections: Tuple[Channel, ...]
-
-    def __post_init__(self):
-        if self.direction not in ("A_to_B", "B_to_A"):
-            raise ChannelError(f"unknown direction {self.direction!r}")
-        if len(self.corrections) != len(self.instrument.branch_chois):
-            raise ChannelError(
-                f"{len(self.instrument.branch_chois)} instrument outcomes vs "
-                f"{len(self.corrections)} corrections"
-            )
-        for corr in self.corrections:
-            if corr.in_layout.labels != self.corrections[0].in_layout.labels:
-                raise ChannelError("corrections must share one input layout")
-
-
-def build_realization_cc(spec: RealizationSpec) -> Channel:
-    """Sum over outcomes of (instrument branch (x) correction) on the shared pair."""
-    ins = spec.instrument
-    d = ins.in_layout.dims[-1]
-    total = None
-    for branch, corr in zip(ins.branch_chois, spec.corrections):
-        piece = Channel(branch, ins.in_layout, ins.out_layout)
-        if spec.direction == "A_to_B":
-            part = build_localizable(piece, corr, d)
-        else:
-            part = build_localizable(corr, piece, d)
-        total = part.choi if total is None else total + part.choi
-    out = Channel(total, part.in_layout, part.out_layout)
+    if direction not in ("A_to_B", "B_to_A"):
+        raise ChannelError(f"unknown direction {direction!r}")
+    if len(sender.out_layout) < 1 or len(sender.in_layout) < 1 or len(receiver.in_layout) < 2:
+        raise ChannelError("sender needs the ancilla input and message output, "
+                           "receiver the message and ancilla inputs")
+    n = sender.out_layout.dims[-1]
+    do, di = sender.d_out // n, sender.d_in
+    blocks = sender.choi.reshape(do, n, di, do, n, di).transpose(1, 4, 0, 2, 3, 5)
+    coherence = np.max(np.abs(blocks[~np.eye(n, dtype=bool)]), initial=0.0)
+    if coherence > CP_TOL:
+        raise ChannelError(f"sender's message wire is not classical: coherence {coherence:.3e}")
+    d = sender.in_layout.dims[-1]
+    phi = max_entangled_vec(d, normalized=True)
+    pair = Channel(np.outer(phi, phi.conj()), SystemLayout(()),
+                   SystemLayout(((_ES, d), (_ER, d))))
+    snd = Channel(sender.choi, _renamed(sender.in_layout, -1, _ES),
+                  _renamed(sender.out_layout, -1, _MSG))
+    rcv = Channel(receiver.choi, _renamed(_renamed(receiver.in_layout, 0, _MSG), -1, _ER),
+                  receiver.out_layout)
+    out = link(link(pair, snd, [_ES]), rcv, [_ER, _MSG])
+    if direction == "B_to_A":  # move the sender's (B's) wires behind A's
+        out_lay = _rotated(out.out_layout, len(sender.out_layout) - 1)
+        in_lay = _rotated(out.in_layout, len(sender.in_layout) - 1)
+        choi, _ = permute_to(out.choi, choi_layout(out.out_layout, out.in_layout),
+                             choi_layout(out_lay, in_lay).labels)
+        out = Channel(choi, in_lay, out_lay)
     dev = tp_residual(out.choi, out.out_layout, out.in_layout)
     if dev > 1e-8:
         raise ChannelError(f"realization is not trace-preserving: residual {dev:.3e}")
@@ -265,15 +270,13 @@ def teleport_realization(v1: Channel, v2: Channel) -> Channel:
     """
     e = v1.out_layout.dims[-1]
     bells, cors = teleport_gadget(e)
-    # Outcome x: the effect rho -> <B_x|rho|B_x> on (relay, E_A), then X^p Z^q
+    # Message x: the effect rho -> <B_x|rho|B_x> on (relay, E_A), then X^p Z^q
     # from E_B onto the relay.
-    instrument = Instrument(
-        tuple(np.outer(b.conj(), b) for b in bells),
-        SystemLayout(((_RELAY, e), (_EA, e))),
-        SystemLayout(()),
-    )
-    eb, relay = SystemLayout(((_EB, e),)), SystemLayout(((_RELAY, e),))
-    corrections = tuple(unitary_channel(u, eb, relay) for u in cors)
-    wire = build_realization_cc(RealizationSpec("A_to_B", instrument, corrections))
+    msg, eb, relay = layout((_MSG, e * e)), layout((_EB, e)), layout((_RELAY, e))
+    sender = Channel(outcome_stack([np.outer(b.conj(), b) for b in bells], 1, e * e),
+                     layout((_RELAY, e), (_EA, e)), msg)
+    receiver = Channel(outcome_stack([unitary_channel(u, eb, relay).choi for u in cors], e, e),
+                       msg.concat(eb), relay)
+    wire = build_realization_cc("A_to_B", sender, receiver)
     v1_relay = Channel(v1.choi, v1.in_layout, _renamed(v1.out_layout, -1, _RELAY))
     return build_semilocalizable(link(v1_relay, wire, [_RELAY]), v2)

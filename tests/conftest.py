@@ -1,10 +1,13 @@
 """Shared fixtures and test helpers: random channels, instruments and states,
-and `apply`, the channel's action read straight off its Choi operator."""
+`apply`, the channel's action read straight off its Choi operator, and
+`prepare_channel`."""
 import numpy as np
 import pytest
 
-from nosigchan.tensor import SystemLayout, as_matrix
-from nosigchan.channels import Channel, ChannelError, Instrument, channel_from_kraus
+from nosigchan.tensor import SystemLayout, as_matrix, kron, layout
+from nosigchan.channels import Channel, ChannelError, channel_from_kraus, outcome_stack
+
+OUTCOME = "#x"
 
 
 @pytest.fixture
@@ -37,6 +40,11 @@ def apply(c: Channel, rho) -> np.ndarray:
     return np.einsum("ki,akbi->ab", rho, r4)
 
 
+def prepare_channel(sigma, out_layout: SystemLayout, in_layout: SystemLayout) -> Channel:
+    """Discard the input and prepare the fixed state sigma."""
+    return Channel(kron(sigma, np.eye(in_layout.total_dim)), in_layout, out_layout)
+
+
 def random_cptp(
     rng: np.random.Generator,
     in_layout: SystemLayout,
@@ -58,8 +66,11 @@ def random_instrument(
     in_layout: SystemLayout,
     out_layout: SystemLayout,
     n_outcomes: int = 2,
-) -> Instrument:
-    """Random instrument: partition the Kraus set of a random channel."""
+) -> Channel:
+    """Random instrument: partition the Kraus set of a random channel.
+
+    The outcome is the last output, a classical wire labelled OUTCOME.
+    """
     di, do = in_layout.total_dim, out_layout.total_dim
     n_kraus = max(n_outcomes, di)
     g = rng.standard_normal((do * n_kraus, di)) + 1j * rng.standard_normal((do * n_kraus, di))
@@ -75,4 +86,17 @@ def random_instrument(
             v = k.reshape(-1)
             b += np.outer(v, v.conj())
         branches.append(b)
-    return Instrument(tuple(branches), in_layout, out_layout)
+    return Channel(outcome_stack(branches, do, di), in_layout,
+                   out_layout.concat(layout((OUTCOME, n_outcomes))))
+
+
+def random_controlled(
+    rng: np.random.Generator,
+    in_layout: SystemLayout,
+    out_layout: SystemLayout,
+    n_messages: int = 2,
+) -> Channel:
+    """Random channels picked by a classical message, the first input OUTCOME."""
+    chois = [random_cptp(rng, in_layout, out_layout).choi for _ in range(n_messages)]
+    return Channel(outcome_stack(chois, out_layout.total_dim, in_layout.total_dim),
+                   layout((OUTCOME, n_messages)).concat(in_layout), out_layout)

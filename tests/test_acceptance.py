@@ -5,7 +5,6 @@ Each test covers one numbered criterion and prints a single pass/fail line
 before asserting, so a red criterion still reports its measured values.
 """
 import numpy as np
-import pytest
 
 from nosigchan.tensor import eigh, layout, ptrace
 from nosigchan.channels import (
@@ -14,7 +13,6 @@ from nosigchan.channels import (
     kraus_from_choi,
 )
 from nosigchan.nosignal import (
-    RealizationSpec,
     build_localizable,
     build_realization_cc,
     check_nosignaling_dir,
@@ -34,7 +32,7 @@ from nosigchan.analysis import (
     ns_face_dimension,
     ppt_min_eig,
 )
-from conftest import random_cptp, random_density, random_hermitian, random_instrument
+from conftest import random_controlled, random_cptp, random_density, random_hermitian, random_instrument
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -128,14 +126,11 @@ def test_criterion_6_realization_no_signaling_suite():
             snd, rcv = ("B", "Bp", "EB"), ("A", "Ap", "EA")
         for _ in range(100):
             n = int(rng.integers(2, 4))
-            ins = random_instrument(
+            sender = random_instrument(
                 rng, layout(snd[0], snd[2]), layout(snd[1]), n_outcomes=n
             )
-            cors = tuple(
-                random_cptp(rng, layout(rcv[0], rcv[2]), layout(rcv[1]))
-                for _ in range(n)
-            )
-            c = build_realization_cc(RealizationSpec(direction, ins, cors))
+            receiver = random_controlled(rng, layout(rcv[0], rcv[2]), layout(rcv[1]), n)
+            c = build_realization_cc(direction, sender, receiver)
             ok_dir, res = check_nosignaling_dir(c, [rcv[0]], [rcv[1]])
             worst = max(worst, res)
             count += 1

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nosigchan.tensor import embed, kron, layout, pauli, ptranspose
+from nosigchan.tensor import embed, layout, pauli, ptranspose
 from nosigchan.channels import (
     Channel,
     channel_from_kraus,
     choi_layout,
     compose_par,
     identity_channel,
-    prepare_channel,
     unitary_channel,
 )
 from nosigchan.nosignal import NOSIGNAL_TOL, build_localizable, signaling_verdict
@@ -36,7 +35,7 @@ from nosigchan.analysis import (
     ns_face_dimension,
     ppt_min_eig,
 )
-from conftest import random_cptp, random_density
+from conftest import prepare_channel, random_cptp, random_density
 
 R_WIRES = (["A"], ["A", "W_A"], ["B"], ["W_B", "B"])
 

@@ -1,26 +1,26 @@
 """Channels as Choi operators: construction routes, application, composition,
-Kraus round trips, and instruments."""
+Kraus round trips, and instruments as channels with a classical outcome wire."""
 import numpy as np
 import pytest
 
-from nosigchan.tensor import SystemLayout, kron, layout, max_entangled_vec, permute_to
+from nosigchan.tensor import SystemLayout, kron, layout, max_entangled_vec, permute_to, ptrace
 from nosigchan.channels import (
+    OUT_TAG,
     Channel,
     ChannelError,
-    Instrument,
     channel_from_kraus,
     choi_from_map,
+    choi_layout,
     compose_par,
     compose_seq,
     identity_channel,
-    instrument_sum,
     kraus_from_choi,
     link,
-    prepare_channel,
+    outcome_stack,
     tp_residual,
     unitary_channel,
 )
-from conftest import apply, random_cptp, random_density, random_instrument
+from conftest import OUTCOME, apply, prepare_channel, random_cptp, random_density, random_instrument
 
 
 def random_unitary(rng, n):
@@ -262,29 +262,81 @@ def test_link_rejects_unwired_or_mismatched_legs(rng):
 # instruments
 
 
+def _branches(ins: Channel):
+    """The branch Chois B_x, read off the diagonal blocks of the outcome wire."""
+    n = ins.out_layout.dims[-1]
+    do, di = ins.d_out // n, ins.d_in
+    blocks = ins.choi.reshape(do, n, di, do, n, di)
+    return [blocks[:, x, :, :, x, :].reshape(do * di, do * di) for x in range(n)]
+
+
+def _trace_outcome(ins: Channel) -> Channel:
+    lay = choi_layout(ins.out_layout, ins.in_layout)
+    return Channel(ptrace(ins.choi, lay, [OUTCOME + OUT_TAG]), ins.in_layout,
+                   ins.out_layout.drop([OUTCOME]))
+
+
 def test_instrument_sum_and_validate(rng):
-    ins = random_instrument(rng, layout("I"), layout("O"), n_outcomes=3)
-    ins.validate()
-    c = instrument_sum(ins).validate()
-    assert len(ins.branch_chois) == 3
-    assert ins.outcomes == (0, 1, 2)
-    total = sum(ins.branch_chois)
-    assert np.allclose(c.choi, total)
+    ins = random_instrument(rng, layout("I"), layout("O"), n_outcomes=3).validate()
+    assert ins.out_layout.labels == ("O", OUTCOME)
+    b0, b1, b2 = _branches(ins)
+    # tracing the outcome wire out is the channel the branches sum to, exactly
+    c = _trace_outcome(ins).validate()
+    assert np.array_equal(c.choi, b0 + b1 + b2)
+
+
+def test_outcome_stack_round_trip(rng):
+    chois = [random_cptp(rng, layout("I"), layout(("O", 3))).choi / 2 for _ in range(2)]
+    ins = Channel(outcome_stack(chois, 3, 2), layout("I"), layout(("O", 3), (OUTCOME, 2)))
+    assert all(np.array_equal(b, c) for b, c in zip(_branches(ins), chois))
+    # every entry off the diagonal blocks is exactly zero
+    assert np.count_nonzero(ins.choi) == sum(np.count_nonzero(c) for c in chois)
 
 
 def test_instrument_outcome_count_checked():
     lay = layout("I")
     c = identity_channel(lay)
-    with pytest.raises(ChannelError):
-        Instrument((c.choi,), lay, lay, outcomes=(0, 1))
+    with pytest.raises(ChannelError):  # a branch of the wrong shape
+        outcome_stack([c.choi, np.eye(2)], 2, 2)
+    with pytest.raises(ChannelError):  # two branches on a three-outcome wire
+        Channel(outcome_stack([c.choi, c.choi], 2, 2), lay, lay.concat(layout((OUTCOME, 3))))
 
 
 def test_instrument_sum_rejects_non_tp():
     lay = layout("I")
     half = 0.5 * identity_channel(lay).choi
-    ins = Instrument((half,), lay, lay)
-    with pytest.raises(ChannelError):
-        instrument_sum(ins)
+    ins = Channel(outcome_stack([half], 2, 2), lay, lay.concat(layout((OUTCOME, 1))))
+    with pytest.raises(ChannelError, match="not trace-preserving"):
+        ins.validate()
+
+
+def test_validate_rejects_instrument_with_non_cp_branch():
+    # B_0 = J/2 + eps Q and B_1 = J/2 - eps Q sum to the identity channel J,
+    # but B_1 has the eigenvalue -eps on |01>, which is orthogonal to |I>>.
+    lay = layout("I")
+    j = identity_channel(lay).choi
+    q = np.zeros((4, 4), dtype=complex)
+    q[1, 1] = 1
+    eps = 1e-3
+    Channel(j / 2 + eps * q + j / 2 - eps * q, lay, lay).validate()
+    ins = Channel(outcome_stack([j / 2 + eps * q, j / 2 - eps * q], 2, 2), lay,
+                  lay.concat(layout((OUTCOME, 2))))
+    with pytest.raises(ChannelError, match="not completely positive"):
+        ins.validate()
+
+
+def test_branch_probabilities_are_the_outcome_diagonal(rng):
+    ins = random_instrument(rng, layout(("I", 3)), layout("O"), n_outcomes=4)
+    rho = random_density(rng, 3)
+    probs = np.diag(apply(ins, rho)).reshape(2, 4).sum(axis=0).real
+    want = [np.trace(apply(Channel(b, ins.in_layout, layout("O")), rho)).real
+            for b in _branches(ins)]
+    assert np.allclose(probs, want)
+    assert np.isclose(probs.sum(), 1.0)
+    # the outcome marginal is diagonal: the wire carries no coherence
+    out = apply(ins, rho)
+    marg = ptrace(out, ins.out_layout, ["O"])
+    assert np.array_equal(marg, np.diag(np.diag(marg)))
 
 
 def test_random_cptp_is_valid(rng):
@@ -294,6 +346,6 @@ def test_random_cptp_is_valid(rng):
 
 def test_random_instrument_branches_are_cp(rng):
     ins = random_instrument(rng, layout(("I", 2)), layout(("O", 3)), n_outcomes=2)
-    for b in ins.branch_chois:
+    for b in _branches(ins):
         w = np.linalg.eigvalsh(b)
         assert w.min() >= -1e-10

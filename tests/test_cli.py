@@ -265,3 +265,13 @@ def test_check_requires_label_partition(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(p), "--sender", "A", "--receiver", "A")
     assert code == 2
     assert "partition" in err
+
+
+def test_check_rejects_labels_that_name_no_wire(capsys, tmp_path):
+    p = tmp_path / "r.json"
+    save_channel(build_r_alpha_kraus(0.2), p)
+    code, out, err = run_cli(capsys, "check", str(p), "--sender", "A,W_A,typo",
+                             "--receiver", "B,W_B")
+    assert code == 2
+    assert out == ""
+    assert "'typo'" in err

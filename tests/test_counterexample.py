@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import kron, layout, max_entangled_vec, pauli, ptrace
-from nosigchan.channels import choi_layout, instrument_sum
+from nosigchan.channels import OUT_TAG, choi_layout
 from nosigchan.nosignal import build_realization_cc, signaling_verdict
 from nosigchan.counterexample import (
     IN_LAYOUT,
@@ -101,18 +101,22 @@ def test_choi_is_cptp_with_unnormalized_trace():
 
 
 def test_circuit_instrument_is_valid():
-    ins = circuit_instrument(1.0 / 6.0)
-    ins.validate()
-    assert ins.outcomes == ((0, 0), (0, 1), (1, 0), (1, 1))
-    instrument_sum(ins).validate()
+    ins = circuit_instrument(1.0 / 6.0).validate()
+    assert ins.in_layout.labels == IN_LAYOUT.labels
+    assert ins.out_layout.labels[:-1] == OUT_LAYOUT.labels
+    assert ins.out_layout.dims[-1] == 4  # outcome x = 2m + n
 
 
 def test_outcome_probabilities_match_branch_traces():
     # On the maximally mixed input the branch probability is the branch-Choi
-    # trace divided by the input dimension; the four must sum to one.
+    # trace divided by the input dimension: the outcome wire's diagonal.
     alpha = 0.3
     ins = circuit_instrument(alpha)
-    probs = [np.trace(b).real / 4.0 for b in ins.branch_chois]
+    lay = choi_layout(ins.out_layout, ins.in_layout)
+    wire = ins.out_layout.labels[-1] + OUT_TAG
+    marg = ptrace(ins.choi, lay, [l for l in lay.labels if l != wire]) / 4.0
+    assert np.array_equal(marg, np.diag(np.diag(marg)))
+    probs = np.diag(marg).real
     assert np.isclose(sum(probs), 1.0)
     # unequal outcomes need both swaps to fire, each input bit measured
     # uniformly: probability (1-alpha)/4 each
@@ -130,20 +134,22 @@ def test_construction_routes_agree():
 
 
 def test_realization_route_agrees_both_directions():
-    alpha = 1.0 / 6.0
-    ck = build_r_alpha_kraus(alpha)
-    for direction in ("B_to_A", "A_to_B"):
-        cr = build_r_alpha_realization(alpha, direction)
-        assert np.linalg.norm(cr.choi - ck.choi) <= 1e-9
-        assert cr.out_layout.labels == OUT_LAYOUT.labels
+    for alpha in ALPHA_GRID:
+        ck = build_r_alpha_kraus(alpha)
+        for direction in ("B_to_A", "A_to_B"):
+            cr = build_r_alpha_realization(alpha, direction)
+            assert np.max(np.abs(cr.choi - ck.choi)) <= 1e-12
+            assert cr.in_layout.labels == IN_LAYOUT.labels
+            assert cr.out_layout.labels == OUT_LAYOUT.labels
 
 
 def test_realization_spec_is_well_formed():
-    spec = realization_spec(0.25)
-    assert spec.instrument.in_layout.dims[-1] == 4
-    assert len(spec.corrections) == 4
-    spec.instrument.validate()
-    build_realization_cc(spec).validate()
+    sender, receiver = realization_spec(0.25)
+    assert sender.in_layout.dims[-1] == 4  # the shared ancilla half
+    assert sender.out_layout.dims[-1] == receiver.in_layout.dims[0] == 4  # the message
+    sender.validate()
+    receiver.validate()
+    build_realization_cc("B_to_A", sender, receiver).validate()
 
 
 def test_realization_direction_checked():

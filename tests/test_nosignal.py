@@ -6,7 +6,6 @@ import pytest
 
 from nosigchan.tensor import (
     TensorError,
-    bra_sandwich,
     embed,
     kron,
     layout,
@@ -18,15 +17,12 @@ from nosigchan.tensor import (
 from nosigchan.channels import (
     Channel,
     ChannelError,
-    Instrument,
     channel_from_kraus,
     choi_from_map,
     identity_channel,
-    prepare_channel,
     unitary_channel,
 )
 from nosigchan.nosignal import (
-    RealizationSpec,
     build_localizable,
     build_realization_cc,
     build_semilocalizable,
@@ -35,7 +31,15 @@ from nosigchan.nosignal import (
     teleport_gadget,
     teleport_realization,
 )
-from conftest import apply, random_cptp, random_density, random_instrument, random_state_vec
+from conftest import (
+    OUTCOME,
+    apply,
+    random_controlled,
+    random_cptp,
+    random_density,
+    random_instrument,
+    random_state_vec,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -180,54 +184,68 @@ def test_localizable_ancilla_dim_checked(rng):
 def test_single_outcome_realization_degenerates_to_localizable(rng):
     ga = random_cptp(rng, layout("A", "EA"), layout("Ap"))
     gb = random_cptp(rng, layout("B", "EB"), layout("Bp"))
-    ins = Instrument((ga.choi,), ga.in_layout, ga.out_layout)
-    spec = RealizationSpec("A_to_B", ins, (gb,))
-    got = build_realization_cc(spec)
+    wire = layout((OUTCOME, 1))
+    sender = Channel(ga.choi, ga.in_layout, ga.out_layout.concat(wire))
+    receiver = Channel(gb.choi, wire.concat(gb.in_layout), gb.out_layout)
+    got = build_realization_cc("A_to_B", sender, receiver)
     want = build_localizable(ga, gb, 2)
     assert np.allclose(got.choi, want.choi)
 
 
+def _parties(rng, direction, d_anc=2, n=2):
+    """A random sender instrument and receiver family for the given direction."""
+    snd, rcv = (("A", "EA"), ("B", "EB")) if direction == "A_to_B" else (("B", "EB"), ("A", "EA"))
+    sender = random_instrument(rng, layout(snd[0], snd[1]), layout(snd[0] + "p"), n_outcomes=n)
+    receiver = random_controlled(rng, layout(rcv[0], (rcv[1], d_anc)), layout(rcv[0] + "p"), n)
+    return sender, receiver
+
+
 def test_realization_receiver_cannot_signal(rng):
     # Direction A_to_B: the outcome travels from A to B, so B (receiver)
-    # cannot signal; and mirrored for B_to_A.
+    # cannot signal; and mirrored for B_to_A.  Either way A's wires come first.
     for _ in range(3):
-        ins = random_instrument(rng, layout("A", "EA"), layout("Ap"), n_outcomes=2)
-        cors = tuple(
-            random_cptp(rng, layout("B", "EB"), layout("Bp")) for _ in range(2)
-        )
-        c = build_realization_cc(RealizationSpec("A_to_B", ins, cors)).validate()
-        ok, res = check_nosignaling_dir(c, ["B"], ["Bp"])
-        assert ok and res <= 1e-9
-
-        ins_b = random_instrument(rng, layout("B", "EB"), layout("Bp"), n_outcomes=2)
-        cors_a = tuple(
-            random_cptp(rng, layout("A", "EA"), layout("Ap")) for _ in range(2)
-        )
-        c = build_realization_cc(RealizationSpec("B_to_A", ins_b, cors_a)).validate()
-        ok, res = check_nosignaling_dir(c, ["A"], ["Ap"])
-        assert ok and res <= 1e-9
+        for direction, rcv in (("A_to_B", "B"), ("B_to_A", "A")):
+            c = build_realization_cc(direction, *_parties(rng, direction)).validate()
+            assert c.in_layout.labels == ("A", "B")
+            assert c.out_layout.labels == ("Ap", "Bp")
+            ok, res = check_nosignaling_dir(c, [rcv], [rcv + "p"])
+            assert ok and res <= 1e-9
 
 
 def test_realization_spec_invariants(rng):
-    ins = random_instrument(rng, layout("A", "EA"), layout("Ap"), n_outcomes=2)
-    cor = random_cptp(rng, layout("B", "EB"), layout("Bp"))
-    with pytest.raises(ChannelError):
-        RealizationSpec("sideways", ins, (cor, cor))
-    with pytest.raises(ChannelError):
-        RealizationSpec("A_to_B", ins, (cor,))  # outcome-count mismatch
+    for direction in ("A_to_B", "B_to_A"):
+        sender, receiver = _parties(rng, direction)
+        with pytest.raises(ChannelError, match="unknown direction"):
+            build_realization_cc("sideways", sender, receiver)
+        _, three = _parties(rng, direction, n=3)
+        with pytest.raises(ChannelError, match="dimension 2 vs 3"):  # message dimensions
+            build_realization_cc(direction, sender, three)
 
 
 def test_realization_rejects_correction_with_other_ancilla_dim(rng):
-    # The pair's dimension is read off the instrument's ancilla (dim 2); a
-    # correction expecting a dim-3 ancilla cannot be fed from it.
-    ins = random_instrument(rng, layout("A", "EA"), layout("Ap"), n_outcomes=2)
-    cor = random_cptp(rng, layout("B", ("EB", 3)), layout("Bp"))
-    spec = RealizationSpec("A_to_B", ins, (cor, cor))
-    with pytest.raises(ChannelError, match="dimension 2 vs 3"):
-        build_realization_cc(spec)
-    mirrored = RealizationSpec("B_to_A", ins, (cor, cor))
-    with pytest.raises(ChannelError, match="dimension 2 vs 3"):
-        build_realization_cc(mirrored)
+    # The pair's dimension is read off the sender's ancilla (dim 2); a
+    # receiver expecting a dim-3 ancilla cannot be fed from it.
+    for direction in ("A_to_B", "B_to_A"):
+        sender, _ = _parties(rng, direction)
+        _, receiver = _parties(rng, direction, d_anc=3)
+        with pytest.raises(ChannelError, match="dimension 2 vs 3"):
+            build_realization_cc(direction, sender, receiver)
+
+
+def test_realization_rejects_quantum_message(rng):
+    # A message wire that keeps coherence between its values would make the
+    # build a one-way quantum channel; dephasing it makes the sender valid.
+    for direction in ("A_to_B", "B_to_A"):
+        _, receiver = _parties(rng, direction)
+        snd = "A" if direction == "A_to_B" else "B"
+        sender = random_cptp(rng, layout(snd, "E" + snd), layout(snd + "p", (OUTCOME, 2)))
+        with pytest.raises(ChannelError, match="not classical"):
+            build_realization_cc(direction, sender, receiver)
+        blocks = sender.choi.reshape(2, 2, 4, 2, 2, 4).copy()
+        blocks[:, 0, :, :, 1, :] = 0
+        blocks[:, 1, :, :, 0, :] = 0
+        dephased = Channel(blocks.reshape(16, 16), sender.in_layout, sender.out_layout)
+        build_realization_cc(direction, dephased, receiver).validate()
 
 
 # ---------------------------------------------------------------------------
