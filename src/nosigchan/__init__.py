@@ -17,7 +17,6 @@ from .channels import (
     Channel,
     ChannelError,
     channel_from_kraus,
-    choi_from_map,
     compose_par,
     compose_seq,
     identity_channel,
@@ -56,7 +55,7 @@ __all__ = [
     "SystemLayout", "TensorError", "eigh", "embed", "gram_rank", "kron", "layout",
     "permute_systems", "ptrace", "ptranspose",
     "Channel", "ChannelError", "channel_from_kraus",
-    "choi_from_map", "compose_par", "compose_seq", "identity_channel",
+    "compose_par", "compose_seq", "identity_channel",
     "kraus_from_choi", "link", "outcome_stack", "unitary_channel",
     "SignalingVerdict", "build_localizable",
     "build_realization_cc", "build_semilocalizable", "check_nosignaling_dir",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .tensor import (
     as_matrix,
     eigh,
     eigvalsh,
-    kron,
     max_entangled_vec,
     ptrace,
 )
@@ -129,26 +128,6 @@ def kraus_from_choi(c: Channel):
         if lam > KRAUS_CUTOFF:
             ks.append(np.sqrt(lam) * col.reshape(c.d_out, c.d_in))
     return ks
-
-
-def choi_from_map(
-    fn: Callable[[np.ndarray], np.ndarray],
-    in_layout: SystemLayout,
-    out_layout: SystemLayout,
-) -> Channel:
-    """Choi of a linear map given as a function on density matrices.
-
-    Applies fn to every matrix unit |i><k| of the input space.
-    """
-    di, do = in_layout.total_dim, out_layout.total_dim
-    choi = np.zeros((do * di, do * di), dtype=complex)
-    unit = np.zeros((di, di), dtype=complex)
-    for i in range(di):
-        for k in range(di):
-            unit[i, k] = 1
-            choi += kron(fn(unit), unit)
-            unit[i, k] = 0
-    return Channel(choi, in_layout, out_layout)
 
 
 def identity_channel(lay: SystemLayout) -> Channel:

@@ -84,9 +84,11 @@ def save_channel(c: Channel, path) -> None:
 
 def load_channel(path) -> Channel:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
         data = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ChoiFileError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChoiFileError(f"not valid JSON: {exc}") from exc
     # JSON spells a boolean only as true or false: without either word in the

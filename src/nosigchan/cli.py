@@ -104,8 +104,12 @@ def cmd_reproduce(args) -> int:
     text = _report_json(out)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
+            return EXIT_USAGE
     for name, ok in checks:
         if not ok:
             sys.stderr.write(f"FAILED: {name}\n")

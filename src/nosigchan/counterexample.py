@@ -6,10 +6,16 @@ with the corresponding system wire conditionally on the W wires, measured,
 and a sigma_x fires on one side iff both outcomes are 1.  Outputs are
 grouped as A' = (A, W_A) and B' = (W_B, B).
 
-The family is built two independent ways: closed-form Kraus vectors and a
-density-matrix simulation of the measurement circuit.  A third route casts
-it as a strict one-round classical-communication realization over a
-maximally entangled dim-4 ancilla pair.
+The family is built two independent ways.  `kraus_operators` writes the
+four Kraus operators in closed form, read off the circuit by hand.
+`circuit_instrument` runs one density-matrix simulation of the circuit on
+its Choi state, the unnormalised |I>><<I| on the inputs and a reference
+copy of them, tensored with the X and W pairs: the two controlled swaps act
+once, each outcome effect on (X_A, X_B) once, and the sigma_x once, on
+outcome 11.  The two routes share only the layouts and the range check on
+alpha.  A third route casts the family as a strict one-round
+classical-communication realization over a maximally entangled dim-4
+ancilla pair.
 """
 from __future__ import annotations
 
@@ -25,18 +31,18 @@ from .tensor import (
     max_entangled_vec,
     pauli,
     permute_to,
-    permute_vector,
     ptrace,
-    vector_bra_contract,
 )
-from .channels import (OUT_TAG, TP_TOL, Channel, ChannelError, channel_from_kraus, choi_from_map,
-                       choi_layout, link, outcome_stack, tp_residual)
+from .channels import (OUT_TAG, TP_TOL, Channel, ChannelError, channel_from_kraus, choi_layout,
+                       link, outcome_stack, tp_residual)
 from .nosignal import build_realization_cc
 
 IN_LAYOUT = layout("A", "B")
 OUT_LAYOUT = layout("A", "W_A", "W_B", "B")
 # The classical outcome x = 2m + n of the two computational-basis measurements.
 _OUTCOME = layout(("#outcome", 4))
+# The reference copy of the inputs in the circuit's Choi state.
+_REFERENCE = layout("A_in", "B_in")
 
 VARIANT_SIGMA_ON_A = "sigma_on_A"
 VARIANT_SIGMA_ON_B = "sigma_on_B"
@@ -66,31 +72,32 @@ def _controlled_sigma_x() -> np.ndarray:
 
 
 def kraus_operators(alpha: float):
-    """The four closed-form Kraus operators (16 x 4), outcome order (m, n)."""
-    alpha = _check_alpha(alpha)
-    lay8 = layout("A", "B", "Ain", "Bin", "X_A", "X_B", "W_A", "W_B")
-    vec_ab = np.eye(4, dtype=complex).reshape(-1)  # |I>> on (A,B | Ain,Bin)
-    full = np.kron(
-        np.kron(vec_ab, max_entangled_vec(2, normalized=True)),
-        pair_state_vec(alpha),
-    )
-    cs = controlled_swap(2)
-    e_op = embed(cs, ["W_A", "A", "X_A"], lay8) @ embed(cs, ["W_B", "B", "X_B"], lay8)
-    phi = e_op @ full
+    """The four Kraus operators (16 x 4) of R_alpha, outcome order (m, n).
 
-    lay6 = lay8.drop(["X_A", "X_B"])
-    sigma = embed(_controlled_sigma_x(), ["W_A", "A"], lay6)
-    canonical = ["A", "W_A", "W_B", "B", "Ain", "Bin"]
+    On outputs (A, W_A, W_B, B) and inputs (A, B), with j + mn taken mod 2:
+
+        K_mn = 2^{-1/2} [ delta_mn sqrt(a) sum_{a,b} |a,0,0,b><a,b|
+                          + sqrt(1-a) sum_j |j + mn, 1, 1, j><m,n| ]
+
+    Read off the circuit.  The W pair sqrt(a)|00> + sqrt(1-a)|11> picks the
+    branch.  With W = 00 no swap fires: the X pair (1/sqrt 2) sum_j |jj> is
+    measured, so m = n, and the inputs pass through to A and B.  With W = 11
+    both swaps fire: the inputs move to X and are measured as (m, n), and A
+    and B carry the X pair, with sigma_x on A iff m = n = 1.
+    """
+    alpha = _check_alpha(alpha)
+    keep = np.sqrt(alpha) * (1 / np.sqrt(2))
+    swap = np.sqrt(1.0 - alpha) * (1 / np.sqrt(2))
+    a, b = np.divmod(np.arange(4), 2)  # input (a, b) has index 2a + b
+    j = np.arange(2)
     ks = []
     for m in range(2):
         for n in range(2):
-            bra = np.zeros(4, dtype=complex)
-            bra[2 * m + n] = 1
-            kv = vector_bra_contract(phi, lay8, ["X_A", "X_B"], bra)
-            if m == 1 and n == 1:
-                kv = sigma @ kv
-            kv, _ = permute_vector(kv, lay6, canonical)
-            ks.append(kv.reshape(16, 4))
+            k = np.zeros((16, 4), dtype=complex)
+            if m == n:
+                k[8 * a + b, 2 * a + b] = keep  # |a,0,0,b><a,b|
+            k[8 * (j ^ (m * n)) + 6 + j, 2 * m + n] = swap  # |j + mn,1,1,j><m,n|
+            ks.append(k)
     return ks
 
 
@@ -100,38 +107,46 @@ def build_r_alpha_kraus(alpha: float) -> Channel:
 
 
 def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
-    """The measurement circuit as an instrument: outcome x = 2m + n on the last output."""
+    """The measurement circuit as an instrument: outcome x = 2m + n on the last output.
+
+    One density-matrix simulation on the Choi state: the unnormalised
+    |I>><<I| on a reference copy (A_in, B_in) of the inputs and (A, B),
+    tensored with the X and W pairs.  The reference comes first, so the
+    circuit acts on the trailing factor.  Removing X with each outcome
+    effect leaves the branch's Choi operator (Choi, LAA 10, 285 (1975)).
+    """
     alpha = _check_alpha(alpha)
     if variant not in (VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B):
         raise ValueError(f"unknown variant {variant!r}")
     lay6 = layout("A", "B", "X_A", "X_B", "W_A", "W_B")
+    lay = _REFERENCE.concat(lay6)
     phi2 = max_entangled_vec(2, normalized=True)
     psi = pair_state_vec(alpha)
     ancillas = kron(np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
+    ref = max_entangled_vec(IN_LAYOUT.total_dim)
+    s = kron(np.outer(ref, ref.conj()), ancillas)
+
+    # s -> (I (x) u) s (I (x) u)^dagger, with u acting on the trailing lay6 factor
     cs = controlled_swap(2)
-    e_op = embed(cs, ["W_A", "A", "X_A"], lay6) @ embed(cs, ["W_B", "B", "X_B"], lay6)
-    lay4 = lay6.drop(["X_A", "X_B"])
+    u = embed(cs, ["W_A", "A", "X_A"], lay6) @ embed(cs, ["W_B", "B", "X_B"], lay6)
+    n, d = lay.total_dim, lay6.total_dim
+    s = np.matmul(u, s.reshape(-1, d, n))
+    s = (s.reshape(-1, d) @ u.conj().T).reshape(n, n)
+
+    # X first, so each outcome effect below reads its block in place
+    rest = lay.drop(["X_A", "X_B"])
+    s, lay = permute_to(s, lay, ("X_A", "X_B") + rest.labels)
     if variant == VARIANT_SIGMA_ON_A:
-        sigma = embed(_controlled_sigma_x(), ["W_A", "A"], lay4)
+        sigma = embed(_controlled_sigma_x(), ["W_A", "A"], rest)
     else:
-        sigma = embed(_controlled_sigma_x(), ["W_B", "B"], lay4)
-
+        sigma = embed(_controlled_sigma_x(), ["W_B", "B"], rest)
     branches = []
-    for m in range(2):
-        for n in range(2):
-            bra = np.zeros(4, dtype=complex)
-            bra[2 * m + n] = 1
-
-            def fn(rho, bra=bra, fire=(m == 1 and n == 1)):
-                s = kron(rho, ancillas)
-                s = e_op @ s @ e_op.conj().T
-                s = bra_sandwich(s, lay6, ["X_A", "X_B"], bra)
-                if fire:
-                    s = sigma @ s @ sigma.conj().T
-                s, _ = permute_to(s, lay4, OUT_LAYOUT.labels)
-                return s
-
-            branches.append(choi_from_map(fn, IN_LAYOUT, OUT_LAYOUT).choi)
+    for x, bra in enumerate(np.eye(4, dtype=complex)):
+        b = bra_sandwich(s, lay, ["X_A", "X_B"], bra)
+        if x == 3:  # m = n = 1 fires the sigma_x
+            b = sigma @ b @ sigma.conj().T
+        b, _ = permute_to(b, rest, OUT_LAYOUT.labels + _REFERENCE.labels)
+        branches.append(b)
     return Channel(outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim),
                    IN_LAYOUT, OUT_LAYOUT.concat(_OUTCOME))
 

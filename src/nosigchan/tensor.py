@@ -231,33 +231,6 @@ def embed(op, op_labels: Sequence[str], lay: SystemLayout) -> np.ndarray:
     return out
 
 
-def permute_vector(v, lay: SystemLayout, target_labels: Sequence[str]):
-    """Reorder tensor factors of a state vector; returns (vector, layout)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.size != lay.total_dim:
-        raise TensorError(f"vector length {v.size} does not match layout dim {lay.total_dim}")
-    order = lay.indices(target_labels)
-    if len(order) != len(lay):
-        raise TensorError("target label list must cover the whole layout")
-    t = v.reshape(lay.dims).transpose(order)
-    return np.ascontiguousarray(t.reshape(-1)), lay.permuted(order)
-
-
-def vector_bra_contract(v, lay: SystemLayout, labels: Sequence[str], bra):
-    """Contract <bra| (on the named subsystems) with a state vector.
-
-    Returns the reduced vector on lay.drop(labels).
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    bra = np.asarray(bra, dtype=complex).reshape(-1)
-    front = list(labels) + [l for l in lay.labels if l not in set(labels)]
-    vv, play = permute_vector(v, lay, front)
-    db = play.select(labels).total_dim
-    if bra.size != db:
-        raise TensorError(f"bra length {bra.size} does not match labels {labels}")
-    return bra.conj() @ vv.reshape(db, -1)
-
-
 def bra_sandwich(m, lay: SystemLayout, labels: Sequence[str], bra) -> np.ndarray:
     """<bra| M |bra> on the named subsystems of an operator; reduces them away."""
     m = as_matrix(m)
@@ -269,8 +242,8 @@ def bra_sandwich(m, lay: SystemLayout, labels: Sequence[str], bra) -> np.ndarray
     dr = play.total_dim // db
     if bra.size != db:
         raise TensorError(f"bra length {bra.size} does not match labels {labels}")
-    t = mm.reshape(db, dr, db, dr)
-    return np.einsum("i,ijkl,k->jl", bra.conj(), t, bra)
+    half = (bra.conj() @ mm.reshape(db, -1)).reshape(dr, db, dr)  # <bra| M
+    return half.swapaxes(1, 2) @ bra
 
 
 def gram_rank(ops: Sequence[np.ndarray], rel_tol: float = 1e-10) -> int:

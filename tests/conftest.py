@@ -1,10 +1,15 @@
 """Shared fixtures and test helpers: random channels, instruments and states,
-`apply`, the channel's action read straight off its Choi operator, and
-`prepare_channel`."""
+`apply`, the channel's action read straight off its Choi operator,
+`choi_from_map`, which builds a Choi operator one matrix unit at a time,
+`prepare_channel`, and the state-vector helpers `permute_vector` and
+`vector_bra_contract`.  The package no longer uses the last three; the
+tests keep them as independent oracles."""
+from typing import Callable, Sequence
+
 import numpy as np
 import pytest
 
-from nosigchan.tensor import SystemLayout, as_matrix, kron, layout
+from nosigchan.tensor import SystemLayout, TensorError, as_matrix, kron, layout
 from nosigchan.channels import Channel, ChannelError, channel_from_kraus, outcome_stack
 
 OUTCOME = "#x"
@@ -38,6 +43,53 @@ def apply(c: Channel, rho) -> np.ndarray:
         raise ChannelError(f"state shape {rho.shape}, channel input dim {c.d_in}")
     r4 = c.choi.reshape(c.d_out, c.d_in, c.d_out, c.d_in)
     return np.einsum("ki,akbi->ab", rho, r4)
+
+
+def choi_from_map(
+    fn: Callable[[np.ndarray], np.ndarray],
+    in_layout: SystemLayout,
+    out_layout: SystemLayout,
+) -> Channel:
+    """Choi of a linear map given as a function on density matrices.
+
+    Applies fn to every matrix unit |i><k| of the input space.
+    """
+    di, do = in_layout.total_dim, out_layout.total_dim
+    choi = np.zeros((do * di, do * di), dtype=complex)
+    unit = np.zeros((di, di), dtype=complex)
+    for i in range(di):
+        for k in range(di):
+            unit[i, k] = 1
+            choi += kron(fn(unit), unit)
+            unit[i, k] = 0
+    return Channel(choi, in_layout, out_layout)
+
+
+def permute_vector(v, lay: SystemLayout, target_labels: Sequence[str]):
+    """Reorder tensor factors of a state vector; returns (vector, layout)."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if v.size != lay.total_dim:
+        raise TensorError(f"vector length {v.size} does not match layout dim {lay.total_dim}")
+    order = lay.indices(target_labels)
+    if len(order) != len(lay):
+        raise TensorError("target label list must cover the whole layout")
+    t = v.reshape(lay.dims).transpose(order)
+    return np.ascontiguousarray(t.reshape(-1)), lay.permuted(order)
+
+
+def vector_bra_contract(v, lay: SystemLayout, labels: Sequence[str], bra):
+    """Contract <bra| (on the named subsystems) with a state vector.
+
+    Returns the reduced vector on lay.drop(labels).
+    """
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    bra = np.asarray(bra, dtype=complex).reshape(-1)
+    front = list(labels) + [l for l in lay.labels if l not in set(labels)]
+    vv, play = permute_vector(v, lay, front)
+    db = play.select(labels).total_dim
+    if bra.size != db:
+        raise TensorError(f"bra length {bra.size} does not match labels {labels}")
+    return bra.conj() @ vv.reshape(db, -1)
 
 
 def prepare_channel(sigma, out_layout: SystemLayout, in_layout: SystemLayout) -> Channel:

@@ -9,7 +9,6 @@ from nosigchan.channels import (
     Channel,
     ChannelError,
     channel_from_kraus,
-    choi_from_map,
     choi_layout,
     compose_par,
     compose_seq,
@@ -20,7 +19,8 @@ from nosigchan.channels import (
     tp_residual,
     unitary_channel,
 )
-from conftest import OUTCOME, apply, prepare_channel, random_cptp, random_density, random_instrument
+from conftest import (OUTCOME, apply, choi_from_map, prepare_channel, random_cptp, random_density,
+                      random_instrument)
 
 
 def random_unitary(rng, n):

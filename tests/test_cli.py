@@ -113,6 +113,16 @@ def test_reproduce_writes_report_file(capsys, tmp_path):
     assert p.read_text() == out
 
 
+def test_reproduce_unwritable_out_exits_2(capsys, tmp_path):
+    p = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "reproduce", "--out", str(p))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {p}: ")
+    assert "FAILED" not in err
+    assert json.loads(out)["alpha"] == pytest.approx(1.0 / 6.0)
+    assert not p.exists()
+
+
 def test_reproduce_alpha_two_thirds(capsys):
     code, out, err = run_cli(capsys, "reproduce", "--alpha", str(2.0 / 3.0))
     report = json.loads(out)
@@ -233,7 +243,8 @@ def _set_every_dim(d, value):
             wire["dim"] = value
 
 
-# Each edit turns the file of the two-qubit identity channel into a malformed one.
+# Each edit turns the file of the two-qubit identity channel into a malformed
+# one: it edits the parsed file in place, or returns the bytes to write instead.
 MALFORMED = {
     "dim-string": lambda d: d["in_dims"][0].update(dim="two"),
     "dim-zero": lambda d: d["in_dims"][0].update(dim=0),
@@ -243,15 +254,16 @@ MALFORMED = {
     "dim-not-an-integer": lambda d: _set_every_dim(d, 2.7),
     "cell-of-three-numbers": lambda d: d["choi"][0][1].append(1.0),
     "cell-of-booleans": lambda d: d["choi"][0].__setitem__(0, [True, False]),
+    "not-utf-8": lambda d: np.random.default_rng(0).bytes(200),
 }
 
 
 @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_check_malformed_file_exits_2(capsys, tmp_path, edit):
     d = channel_to_dict(identity_channel(layout("A", "B")))
-    edit(d)
+    content = edit(d)
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(d))
+    p.write_bytes(json.dumps(d).encode() if content is None else content)
     code, out, err = run_cli(capsys, "check", str(p), "--sender", "A", "--receiver", "B")
     assert code == 2
     assert out == ""

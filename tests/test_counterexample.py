@@ -4,8 +4,18 @@ must produce the same Choi operator; boundary members have known behavior."""
 import numpy as np
 import pytest
 
-from nosigchan.tensor import kron, layout, max_entangled_vec, pauli, ptrace
-from nosigchan.channels import OUT_TAG, choi_layout
+from nosigchan.tensor import (
+    bra_sandwich,
+    controlled_swap,
+    embed,
+    kron,
+    layout,
+    max_entangled_vec,
+    pauli,
+    permute_to,
+    ptrace,
+)
+from nosigchan.channels import OUT_TAG, choi_layout, outcome_stack
 from nosigchan.nosignal import build_realization_cc, signaling_verdict
 from nosigchan.counterexample import (
     IN_LAYOUT,
@@ -20,7 +30,7 @@ from nosigchan.counterexample import (
     pair_state_vec,
     realization_spec,
 )
-from conftest import apply, random_density
+from conftest import apply, choi_from_map, permute_vector, random_density, vector_bra_contract
 
 ALPHA_GRID = [0.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -158,6 +168,90 @@ def test_realization_direction_checked():
 
 
 # ---------------------------------------------------------------------------
+# exact parity with the step-by-step simulations
+#
+# Every gate of the circuit is a 0/1 permutation, so the closed form and the
+# one-shot Choi-state simulation must reproduce these simulations entry for
+# entry, not just to a tolerance.
+
+PARITY_ALPHAS = list(np.linspace(0.0, 1.0, 41)) + [1e-6, 1.0 / 6.0, 0.123456789, 2.0 / 3.0,
+                                                   0.999999]
+P0 = np.diag([1, 0]).astype(complex)
+P1 = np.diag([0, 1]).astype(complex)
+
+
+def w_pair(alpha):
+    v = np.zeros(4, dtype=complex)
+    v[0], v[3] = np.sqrt(alpha), np.sqrt(1.0 - alpha)
+    return v
+
+
+def fire_gate():
+    """sigma_x on the system wire iff the W wire is 1; ordering (W, system)."""
+    return kron(P1, pauli("x")) + kron(P0, np.eye(2))
+
+
+def kraus_by_state_vector(alpha):
+    """The Kraus operators by simulating the circuit on an 8-wire state vector."""
+    lay8 = layout("A", "B", "Ain", "Bin", "X_A", "X_B", "W_A", "W_B")
+    vec_ab = np.eye(4, dtype=complex).reshape(-1)  # |I>> on (A,B | Ain,Bin)
+    full = np.kron(np.kron(vec_ab, max_entangled_vec(2, normalized=True)), w_pair(alpha))
+    cs = controlled_swap(2)
+    phi = embed(cs, ["W_A", "A", "X_A"], lay8) @ embed(cs, ["W_B", "B", "X_B"], lay8) @ full
+    lay6 = lay8.drop(["X_A", "X_B"])
+    sigma = embed(fire_gate(), ["W_A", "A"], lay6)
+    ks = []
+    for x, bra in enumerate(np.eye(4, dtype=complex)):
+        kv = vector_bra_contract(phi, lay8, ["X_A", "X_B"], bra)
+        if x == 3:
+            kv = sigma @ kv
+        kv, _ = permute_vector(kv, lay6, ["A", "W_A", "W_B", "B", "Ain", "Bin"])
+        ks.append(kv.reshape(16, 4))
+    return ks
+
+
+def instrument_by_matrix_units(alpha, variant):
+    """The circuit instrument, simulated on each matrix unit of the input."""
+    lay6 = layout("A", "B", "X_A", "X_B", "W_A", "W_B")
+    phi2, psi = max_entangled_vec(2, normalized=True), w_pair(alpha)
+    ancillas = kron(np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
+    cs = controlled_swap(2)
+    e_op = embed(cs, ["W_A", "A", "X_A"], lay6) @ embed(cs, ["W_B", "B", "X_B"], lay6)
+    lay4 = lay6.drop(["X_A", "X_B"])
+    side = ["W_A", "A"] if variant == VARIANT_SIGMA_ON_A else ["W_B", "B"]
+    sigma = embed(fire_gate(), side, lay4)
+    branches = []
+    for x, bra in enumerate(np.eye(4, dtype=complex)):
+
+        def fn(rho, bra=bra, fire=(x == 3)):
+            s = e_op @ kron(rho, ancillas) @ e_op.conj().T
+            s = bra_sandwich(s, lay6, ["X_A", "X_B"], bra)
+            if fire:
+                s = sigma @ s @ sigma.conj().T
+            return permute_to(s, lay4, OUT_LAYOUT.labels)[0]
+
+        branches.append(choi_from_map(fn, IN_LAYOUT, OUT_LAYOUT).choi)
+    return outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim)
+
+
+def test_kraus_operators_equal_state_vector_simulation():
+    for alpha in PARITY_ALPHAS:
+        for got, want in zip(kraus_operators(alpha), kraus_by_state_vector(alpha), strict=True):
+            assert np.array_equal(got, want), alpha
+
+
+@pytest.mark.parametrize("variant", [VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B])
+def test_circuit_equals_matrix_unit_simulation(variant):
+    for alpha in PARITY_ALPHAS:
+        ins = circuit_instrument(alpha, variant)
+        want = instrument_by_matrix_units(alpha, variant)
+        assert np.array_equal(ins.choi, want), alpha
+        lay = choi_layout(ins.out_layout, ins.in_layout)
+        traced = ptrace(want, lay, [ins.out_layout.labels[-1] + OUT_TAG])
+        assert np.array_equal(build_r_alpha_circuit(alpha, variant).choi, traced), alpha
+
+
+# ---------------------------------------------------------------------------
 # boundary members
 
 
@@ -172,9 +266,6 @@ def test_alpha_one_passes_inputs_through():
     w00[0, 0] = 1
     lay = layout("A", "B", "W_A", "W_B")
     want = kron(rho, w00)
-    want_perm = np.zeros_like(want)
-    from nosigchan.tensor import permute_to
-
     want_perm, _ = permute_to(want, lay, ["A", "W_A", "W_B", "B"])
     assert np.allclose(out, want_perm)
 

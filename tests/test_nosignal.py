@@ -18,7 +18,6 @@ from nosigchan.channels import (
     Channel,
     ChannelError,
     channel_from_kraus,
-    choi_from_map,
     identity_channel,
     unitary_channel,
 )
@@ -34,6 +33,7 @@ from nosigchan.nosignal import (
 from conftest import (
     OUTCOME,
     apply,
+    choi_from_map,
     random_controlled,
     random_cptp,
     random_density,

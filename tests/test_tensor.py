@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nosigchan.tensor import (
     SystemLayout,
@@ -25,14 +26,12 @@ from nosigchan.tensor import (
     pauli,
     permute_systems,
     permute_to,
-    permute_vector,
     ptrace,
     ptranspose,
     shift_op,
     swap_op,
-    vector_bra_contract,
 )
-from conftest import random_hermitian, random_state_vec
+from conftest import permute_vector, random_hermitian, random_state_vec, vector_bra_contract
 
 
 def random_complex(rng, n):
@@ -265,6 +264,35 @@ def test_bra_sandwich_matches_projection(rng):
     got = bra_sandwich(m, lay, ["B"], bra)
     big_bra = kron(np.eye(2), bra.reshape(1, 3))
     assert np.allclose(got, big_bra.conj() @ m @ big_bra.T)
+
+
+@st.composite
+def sandwich_cases(draw):
+    """A layout of 2-4 subsystems (dims 1-3), an ordered label subset, a seed."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    labels = [f"S{i}" for i in range(len(dims))]
+    order = draw(st.permutations(labels))
+    picked = order[: draw(st.integers(1, len(order)))]
+    return SystemLayout(tuple(zip(labels, dims))), picked, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sandwich_cases())
+def test_bra_sandwich_is_projection_after_permutation(case):
+    lay, picked, seed = case
+    rng = np.random.default_rng(seed)
+    m = random_complex(rng, lay.total_dim)
+    rest = [l for l in lay.labels if l not in picked]
+    mm, play = permute_to(m, lay, picked + rest)
+    back, back_lay = permute_to(mm, play, lay.labels)
+    assert back_lay == lay and np.array_equal(back, m)
+    db = lay.select(picked).total_dim
+    bra = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+    eye = np.eye(lay.total_dim // db)
+    want = kron(bra.conj().reshape(1, db), eye) @ mm @ kron(bra.reshape(db, 1), eye)
+    got = bra_sandwich(m, lay, picked, bra)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
