@@ -6,7 +6,6 @@ from .tensor import (
     TensorError,
     eigh,
     embed,
-    gram_rank,
     kron,
     layout,
     permute_systems,
@@ -52,7 +51,7 @@ from .analysis import (
 )
 
 __all__ = [
-    "SystemLayout", "TensorError", "eigh", "embed", "gram_rank", "kron", "layout",
+    "SystemLayout", "TensorError", "eigh", "embed", "kron", "layout",
     "permute_systems", "ptrace", "ptranspose",
     "Channel", "ChannelError", "channel_from_kraus",
     "compose_par", "compose_seq", "identity_channel",

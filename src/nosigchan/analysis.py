@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .tensor import eigh, gram_rank, ptrace, ptranspose
+from .tensor import eigh, ptrace, ptranspose
 from .channels import (
     Channel,
     IN_TAG,
@@ -96,11 +96,19 @@ def chsh_value(c: Channel) -> float:
 
 
 def extremality_rank(c: Channel):
-    """(number of Kraus, rank of {K_i† K_j}, full).  Full rank certifies extremality."""
-    ks = kraus_from_choi(c)
-    products = [a.conj().T @ b for a in ks for b in ks]
-    rank = gram_rank(products, rel_tol=EXTREMALITY_REL_TOL)
+    """(number of Kraus, rank of {K_i† K_j}, full).  Full rank certifies extremality.
+
+    The rank is read off the singular values of the r² x d_in² stack of the
+    products, which span at most d_in² dimensions.  Singular values at or
+    below EXTREMALITY_REL_TOL times the largest count as zero, the rule
+    `ns_face_dimension` applies, so r² minus this rank is its face dimension
+    without no-signaling rows.
+    """
+    ks = np.array(kraus_from_choi(c))
     r = len(ks)
+    products = np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(r * r, c.d_in * c.d_in)
+    sv = np.linalg.svd(products, compute_uv=False)
+    rank = int(np.sum(sv > EXTREMALITY_REL_TOL * sv[0]))
     return r, rank, rank == r * r
 
 

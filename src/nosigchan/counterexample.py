@@ -8,16 +8,22 @@ grouped as A' = (A, W_A) and B' = (W_B, B).
 
 The family is built two independent ways.  `kraus_operators` writes the
 four Kraus operators in closed form, read off the circuit by hand.
-`circuit_instrument` runs one density-matrix simulation of the circuit on
-its Choi state, the unnormalised |I>><<I| on the inputs and a reference
-copy of them, tensored with the X and W pairs: the two controlled swaps act
-once, each outcome effect on (X_A, X_B) once, and the sigma_x once, on
-outcome 11.  The two routes share only the layouts and the range check on
-alpha.  A third route casts the family as a strict one-round
+`circuit_instrument` reads the circuit off its Choi state, the unnormalised
+|I>><<I| on the inputs and a reference copy of them, tensored with the X
+and W pairs.  Every gate is a 0/1 permutation and every outcome effect a
+basis bra, so the circuit only moves entries of that state; alpha changes
+the state, not where its entries go.  One density-matrix simulation per
+variant, on a state of distinct labels, finds where each entry goes: the
+two controlled swaps act once, each outcome effect on (X_A, X_B) once, and
+the sigma_x once, on outcome 11.  Each call then gathers the four branches
+from the state at alpha.  The two routes share only the layouts and the
+range check on alpha.  A third route casts the family as a strict one-round
 classical-communication realization over a maximally entangled dim-4
 ancilla pair.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -43,6 +49,9 @@ OUT_LAYOUT = layout("A", "W_A", "W_B", "B")
 _OUTCOME = layout(("#outcome", 4))
 # The reference copy of the inputs in the circuit's Choi state.
 _REFERENCE = layout("A_in", "B_in")
+# The circuit's six wires, and its Choi state: the reference copy first.
+_WIRES = layout("A", "B", "X_A", "X_B", "W_A", "W_B")
+_CHOI_STATE = _REFERENCE.concat(_WIRES)
 
 VARIANT_SIGMA_ON_A = "sigma_on_A"
 VARIANT_SIGMA_ON_B = "sigma_on_B"
@@ -106,31 +115,19 @@ def build_r_alpha_kraus(alpha: float) -> Channel:
     return channel_from_kraus(kraus_operators(alpha), IN_LAYOUT, OUT_LAYOUT)
 
 
-def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
-    """The measurement circuit as an instrument: outcome x = 2m + n on the last output.
+def _simulate(state: np.ndarray, variant: str) -> np.ndarray:
+    """The circuit run on a state of _CHOI_STATE: its four branches, outcome x = 2m + n.
 
-    One density-matrix simulation on the Choi state: the unnormalised
-    |I>><<I| on a reference copy (A_in, B_in) of the inputs and (A, B),
-    tensored with the X and W pairs.  The reference comes first, so the
-    circuit acts on the trailing factor.  Removing X with each outcome
-    effect leaves the branch's Choi operator (Choi, LAA 10, 285 (1975)).
+    The reference comes first, so the circuit acts on the trailing factor.
+    Removing X with each outcome effect leaves the branch's Choi operator
+    (Choi, LAA 10, 285 (1975)), on (OUT_LAYOUT | _REFERENCE).
     """
-    alpha = _check_alpha(alpha)
-    if variant not in (VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B):
-        raise ValueError(f"unknown variant {variant!r}")
-    lay6 = layout("A", "B", "X_A", "X_B", "W_A", "W_B")
-    lay = _REFERENCE.concat(lay6)
-    phi2 = max_entangled_vec(2, normalized=True)
-    psi = pair_state_vec(alpha)
-    ancillas = kron(np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
-    ref = max_entangled_vec(IN_LAYOUT.total_dim)
-    s = kron(np.outer(ref, ref.conj()), ancillas)
-
-    # s -> (I (x) u) s (I (x) u)^dagger, with u acting on the trailing lay6 factor
+    lay = _CHOI_STATE
+    # s -> (I (x) u) s (I (x) u)^dagger, with u acting on the trailing _WIRES factor
     cs = controlled_swap(2)
-    u = embed(cs, ["W_A", "A", "X_A"], lay6) @ embed(cs, ["W_B", "B", "X_B"], lay6)
-    n, d = lay.total_dim, lay6.total_dim
-    s = np.matmul(u, s.reshape(-1, d, n))
+    u = embed(cs, ["W_A", "A", "X_A"], _WIRES) @ embed(cs, ["W_B", "B", "X_B"], _WIRES)
+    n, d = lay.total_dim, _WIRES.total_dim
+    s = np.matmul(u, state.reshape(-1, d, n))
     s = (s.reshape(-1, d) @ u.conj().T).reshape(n, n)
 
     # X first, so each outcome effect below reads its block in place
@@ -147,12 +144,59 @@ def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Chann
             b = sigma @ b @ sigma.conj().T
         b, _ = permute_to(b, rest, OUT_LAYOUT.labels + _REFERENCE.labels)
         branches.append(b)
+    return np.array(branches)
+
+
+@functools.cache
+def _entry_map(variant: str) -> np.ndarray:
+    """Where the circuit moves the Choi-state entries: branch x is s[q[x]][:, q[x]].
+
+    Every gate is a 0/1 permutation and every outcome effect a basis bra, so
+    the circuit only moves entries, and the same permutation acts on rows
+    and columns.  One simulation on the state whose entry (i, j) holds the
+    label i n + j (n = 256, so every label is an exact float) finds q, shape
+    (4, 64), from the branch diagonals, which hold q n + q.  The whole
+    labelled output must equal that gather, or ChannelError is raised.
+    """
+    n = _CHOI_STATE.total_dim
+    labels = np.arange(n * n, dtype=complex).reshape(n, n)
+    out = _simulate(labels, variant)
+    q = np.diagonal(out, axis1=1, axis2=2).real / (n + 1)
+    idx = q.astype(np.intp) if np.all((q == np.round(q)) & (q >= 0) & (q < n)) else None
+    if idx is None or not np.array_equal(out, labels[idx[:, :, None], idx[:, None, :]]):
+        raise ChannelError(f"circuit variant {variant!r} does not just move Choi-state entries")
+    idx.flags.writeable = False
+    return idx
+
+
+def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
+    """The measurement circuit as an instrument: outcome x = 2m + n on the last output.
+
+    The circuit's Choi state is the unnormalised |I>><<I| on a reference copy
+    (A_in, B_in) of the inputs and (A, B), tensored with the X and W pairs.
+    One labelled simulation per variant (`_entry_map`) finds where the
+    circuit moves its entries; each call then gathers the four branch Chois
+    from the state.  Entries are moved, never summed, so they equal the
+    simulation's exactly.
+    """
+    alpha = _check_alpha(alpha)
+    if variant not in (VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B):
+        raise ValueError(f"unknown variant {variant!r}")
+    q = _entry_map(variant)
+    phi2 = max_entangled_vec(2, normalized=True)
+    psi = pair_state_vec(alpha)
+    ancillas = kron(np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
+    ref = max_entangled_vec(IN_LAYOUT.total_dim)
+    # entry (p, p') of the state kron(|I>><<I|, ancillas), read off the factors
+    hi, lo = np.divmod(q, ancillas.shape[0])
+    branches = (np.outer(ref, ref.conj())[hi[:, :, None], hi[:, None, :]]
+                * ancillas[lo[:, :, None], lo[:, None, :]])
     return Channel(outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim),
                    IN_LAYOUT, OUT_LAYOUT.concat(_OUTCOME))
 
 
 def build_r_alpha_circuit(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
-    """Choi operator by direct density-matrix simulation of the circuit."""
+    """Choi operator of the circuit: its instrument with the outcome traced out."""
     ins = circuit_instrument(alpha, variant)
     lay = choi_layout(ins.out_layout, ins.in_layout)
     c = Channel(ptrace(ins.choi, lay, [_OUTCOME.labels[0] + OUT_TAG]), IN_LAYOUT, OUT_LAYOUT)

@@ -39,6 +39,11 @@ from .channels import (
 )
 
 NOSIGNAL_TOL = 1e-9
+# Hermiticity, positivity and trace-preservation slack for the receiver-side
+# marginal that `check_nosignaling_dir` extracts once the factorization holds.
+MARGINAL_TOL = 1e-7
+# Trace-preservation slack for the channel `build_realization_cc` assembles.
+REALIZATION_TP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -108,10 +113,10 @@ def check_nosignaling_dir(
         n_out = sum(1 for l in s_lay.labels if l.endswith(OUT_TAG))
         out_lay = SystemLayout(s_lay.subsystems[:n_out])
         in_lay = SystemLayout(s_lay.subsystems[n_out:])
-        w = eigvalsh(s, tol=1e-7)
+        w = eigvalsh(s, tol=MARGINAL_TOL)
         marg = ptrace(s, s_lay, out_lay.labels)
         tp_dev = np.max(np.abs(marg - np.eye(in_lay.total_dim)))
-        if w[-1] < -1e-7 or tp_dev > 1e-7:
+        if w[-1] < -MARGINAL_TOL or tp_dev > MARGINAL_TOL:
             raise ChannelError(
                 f"marginal passed the factorization test but is not a channel "
                 f"(min eig {w[-1]:.3e}, TP residual {tp_dev:.3e})"
@@ -217,7 +222,7 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
                              choi_layout(out_lay, in_lay).labels)
         out = Channel(choi, in_lay, out_lay)
     dev = tp_residual(out.choi, out.out_layout, out.in_layout)
-    if dev > 1e-8:
+    if dev > REALIZATION_TP_TOL:
         raise ChannelError(f"realization is not trace-preserving: residual {dev:.3e}")
     return out
 

@@ -246,29 +246,6 @@ def bra_sandwich(m, lay: SystemLayout, labels: Sequence[str], bra) -> np.ndarray
     return half.swapaxes(1, 2) @ bra
 
 
-def gram_rank(ops: Sequence[np.ndarray], rel_tol: float = 1e-10) -> int:
-    """Rank of the Gram matrix G[i,j] = Tr[ops[i]† ops[j]].
-
-    Counts eigenvalues above rel_tol times the largest one.
-    """
-    if len(ops) == 0:
-        raise TensorError("gram_rank needs at least one operator")
-    shape = np.asarray(ops[0]).shape
-    flat = []
-    for op in ops:
-        a = as_matrix(op)
-        if a.shape != shape:
-            raise TensorError("all operators must have the same shape")
-        flat.append(a.reshape(-1))
-    stack = np.array(flat)
-    g = stack.conj() @ stack.T
-    w, _ = eigh(g, tol=1e-8 * max(1.0, np.max(np.abs(g))))
-    top = w[0]
-    if top <= 0:
-        return 0
-    return int(np.sum(w > rel_tol * top))
-
-
 # Small operator zoo used across the package.
 def pauli(which: str) -> np.ndarray:
     table = {

@@ -1,15 +1,15 @@
 """Shared fixtures and test helpers: random channels, instruments and states,
 `apply`, the channel's action read straight off its Choi operator,
 `choi_from_map`, which builds a Choi operator one matrix unit at a time,
-`prepare_channel`, and the state-vector helpers `permute_vector` and
-`vector_bra_contract`.  The package no longer uses the last three; the
-tests keep them as independent oracles."""
+`prepare_channel`, the state-vector helpers `permute_vector` and
+`vector_bra_contract`, and `gram_rank`.  The package no longer uses the last
+four; the tests keep them as independent oracles."""
 from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
-from nosigchan.tensor import SystemLayout, TensorError, as_matrix, kron, layout
+from nosigchan.tensor import SystemLayout, TensorError, as_matrix, eigh, kron, layout
 from nosigchan.channels import Channel, ChannelError, channel_from_kraus, outcome_stack
 
 OUTCOME = "#x"
@@ -90,6 +90,30 @@ def vector_bra_contract(v, lay: SystemLayout, labels: Sequence[str], bra):
     if bra.size != db:
         raise TensorError(f"bra length {bra.size} does not match labels {labels}")
     return bra.conj() @ vv.reshape(db, -1)
+
+
+def gram_rank(ops: Sequence[np.ndarray], rel_tol: float = 1e-10) -> int:
+    """Rank of the Gram matrix G[i,j] = Tr[ops[i]† ops[j]].
+
+    Counts eigenvalues above rel_tol times the largest one.  The oracle for
+    `analysis.extremality_rank`, which reads the same rank off singular values.
+    """
+    if len(ops) == 0:
+        raise TensorError("gram_rank needs at least one operator")
+    shape = np.asarray(ops[0]).shape
+    flat = []
+    for op in ops:
+        a = as_matrix(op)
+        if a.shape != shape:
+            raise TensorError("all operators must have the same shape")
+        flat.append(a.reshape(-1))
+    stack = np.array(flat)
+    g = stack.conj() @ stack.T
+    w, _ = eigh(g, tol=1e-8 * max(1.0, np.max(np.abs(g))))
+    top = w[0]
+    if top <= 0:
+        return 0
+    return int(np.sum(w > rel_tol * top))
 
 
 def prepare_channel(sigma, out_layout: SystemLayout, in_layout: SystemLayout) -> Channel:

@@ -16,6 +16,7 @@ from nosigchan.channels import (
     choi_layout,
     compose_par,
     identity_channel,
+    kraus_from_choi,
     unitary_channel,
 )
 from nosigchan.nosignal import NOSIGNAL_TOL, build_localizable, signaling_verdict
@@ -35,7 +36,7 @@ from nosigchan.analysis import (
     ns_face_dimension,
     ppt_min_eig,
 )
-from conftest import prepare_channel, random_cptp, random_density
+from conftest import gram_rank, prepare_channel, random_cptp, random_density
 
 R_WIRES = (["A"], ["A", "W_A"], ["B"], ["W_B", "B"])
 
@@ -197,10 +198,23 @@ def test_depolarizing_channel_is_not_extremal():
 def test_extremality_rank_stable_under_reextraction():
     c = build_r_alpha_kraus(1.0 / 6.0)
     first = extremality_rank(c)
-    from nosigchan.channels import kraus_from_choi
-
     rebuilt = channel_from_kraus(kraus_from_choi(c), c.in_layout, c.out_layout)
     assert extremality_rank(rebuilt) == first
+
+
+def _rank_by_gram(c):
+    """The Gram route: eigenvalues of the r² x r² Gram matrix of the products."""
+    ks = kraus_from_choi(c)
+    rank = gram_rank([a.conj().T @ b for a in ks for b in ks], rel_tol=EXTREMALITY_REL_TOL)
+    return len(ks), rank, rank == len(ks) ** 2
+
+
+def test_extremality_rank_equals_gram_oracle(rng):
+    cases = [build_r_alpha_kraus(a) for a in list(np.linspace(0.0, 1.0, 11)) + [1.0 / 6.0]]
+    cases += [random_cptp(rng, IN_LAYOUT, OUT_LAYOUT, n_kraus=r) for r in (1, 2, 4, 8, 16)]
+    cases += [_completely_depolarizing(), identity_channel(layout("S"))]
+    for c in cases:
+        assert extremality_rank(c) == _rank_by_gram(c)
 
 
 def test_r_alpha_kraus_products_span_ten_dimensions():
@@ -213,6 +227,16 @@ def test_r_alpha_kraus_products_span_ten_dimensions():
     for alpha in (1.0 / 6.0, 0.37):
         r, rank, full = extremality_rank(build_r_alpha_kraus(alpha))
         assert (r, rank, full) == (4, 10, False)
+
+
+def test_r_alpha_rank_holds_as_alpha_approaches_one():
+    # Six products scale as 1 - alpha, far above rounding at these alpha.  A
+    # cut on the Gram eigenvalues (1 - alpha)² dropped them from 0.99998 on
+    # and reported rank 1, against face dimension 6 among all channels.
+    for alpha in (0.9999, 0.99998, 0.9999919239485958, 0.999999):
+        c = build_r_alpha_kraus(alpha)
+        assert extremality_rank(c) == (4, 10, False), alpha
+        assert ns_face_dimension(c, [], [], [], []).face_dimension == 6, alpha
 
 
 def test_r_alpha_admits_explicit_decomposition():

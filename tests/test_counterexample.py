@@ -15,8 +15,9 @@ from nosigchan.tensor import (
     permute_to,
     ptrace,
 )
-from nosigchan.channels import OUT_TAG, choi_layout, outcome_stack
+from nosigchan.channels import OUT_TAG, ChannelError, choi_layout, outcome_stack
 from nosigchan.nosignal import build_realization_cc, signaling_verdict
+from nosigchan import counterexample
 from nosigchan.counterexample import (
     IN_LAYOUT,
     OUT_LAYOUT,
@@ -249,6 +250,72 @@ def test_circuit_equals_matrix_unit_simulation(variant):
         lay = choi_layout(ins.out_layout, ins.in_layout)
         traced = ptrace(want, lay, [ins.out_layout.labels[-1] + OUT_TAG])
         assert np.array_equal(build_r_alpha_circuit(alpha, variant).choi, traced), alpha
+
+
+# ---------------------------------------------------------------------------
+# the entry map: one labelled simulation per variant, then a gather per call
+
+VARIANTS = [VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B]
+MAP_ALPHAS = [0.0, 1e-6, 1.0 / 6.0, 0.5, 0.999999, 1.0]
+
+
+@pytest.fixture
+def cold_entry_map():
+    counterexample._entry_map.cache_clear()
+    yield
+    counterexample._entry_map.cache_clear()
+
+
+def choi_state(alpha):
+    """|I>><<I| on (A_in, B_in | A, B), tensored with the X and W pairs."""
+    ref = max_entangled_vec(4)
+    phi2, psi = max_entangled_vec(2, normalized=True), w_pair(alpha)
+    return kron(np.outer(ref, ref.conj()), np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_first_and_later_calls_agree(variant, cold_entry_map):
+    for alpha in MAP_ALPHAS:
+        counterexample._entry_map.cache_clear()
+        first = circuit_instrument(alpha, variant).choi
+        assert np.array_equal(circuit_instrument(alpha, variant).choi, first), alpha
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_gather_equals_simulation_on_the_choi_state(variant):
+    for alpha in MAP_ALPHAS:
+        want = outcome_stack(counterexample._simulate(choi_state(alpha), variant), 16, 4)
+        assert np.array_equal(circuit_instrument(alpha, variant).choi, want), alpha
+
+
+def test_warm_calls_do_not_simulate(monkeypatch, cold_entry_map):
+    warm = {v: circuit_instrument(0.3, v).choi for v in VARIANTS}
+
+    def no_simulation(state, variant):
+        raise AssertionError("simulated after warm-up")
+
+    monkeypatch.setattr(counterexample, "_simulate", no_simulation)
+    for v in VARIANTS:
+        assert np.array_equal(circuit_instrument(0.3, v).choi, warm[v])
+        circuit_instrument(0.7, v).validate()
+
+
+def test_entry_map_is_read_only():
+    q = counterexample._entry_map(VARIANT_SIGMA_ON_A)
+    assert q.shape == (4, 64)
+    with pytest.raises(ValueError):
+        q[0, 0] = 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_permutation_gate_is_rejected(variant, monkeypatch, cold_entry_map):
+    # a Hadamard on each W wire before its controlled swap mixes entries,
+    # so no gather reproduces the labelled run
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    monkeypatch.setattr(counterexample, "controlled_swap",
+                        lambda d: kron(hadamard, np.eye(d * d)) @ controlled_swap(d))
+    with pytest.raises(ChannelError, match="does not just move"):
+        circuit_instrument(0.3, variant)
 
 
 # ---------------------------------------------------------------------------

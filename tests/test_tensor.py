@@ -19,7 +19,6 @@ from nosigchan.tensor import (
     eigh,
     eigvalsh,
     embed,
-    gram_rank,
     kron,
     layout,
     max_entangled_vec,
@@ -31,7 +30,8 @@ from nosigchan.tensor import (
     shift_op,
     swap_op,
 )
-from conftest import permute_vector, random_hermitian, random_state_vec, vector_bra_contract
+from conftest import (gram_rank, permute_vector, random_hermitian, random_state_vec,
+                      vector_bra_contract)
 
 
 def random_complex(rng, n):
