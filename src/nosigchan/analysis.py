@@ -3,11 +3,13 @@
 Entanglement-breaking is witnessed by a negative eigenvalue of the partially
 transposed Choi (outputs|inputs split); localizability is witnessed against
 by a CHSH value above 2*sqrt(2).  Extremality has two certificates, one per
-convex set: `extremality_rank` (Choi's linear independence of the Kraus
-products K_i† K_j) decides extremality among all channels, and
-`ns_face_dimension` decides it among no-signaling channels, the set in which
-a no-signaling channel that is neither entanglement-breaking nor localizable
-refutes the conjecture that every no-signaling channel mixes the two kinds.
+convex set, read off one constraint matrix over pairs of Kraus operators:
+`extremality_rank` (Choi's linear independence of the products K_i† K_j,
+the trace-preservation rows) decides extremality among all channels, and
+`ns_face_dimension` (all rows) decides it among no-signaling channels, the
+set in which a no-signaling channel that is neither entanglement-breaking
+nor localizable refutes the conjecture that every no-signaling channel
+mixes the two kinds.
 """
 from __future__ import annotations
 
@@ -16,19 +18,15 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .tensor import eigh, ptrace, ptranspose
+from .tensor import eigh, ptranspose
 from .channels import (
     Channel,
     IN_TAG,
+    OUT_TAG,
     choi_layout,
     kraus_from_choi,
 )
-from .nosignal import (
-    NOSIGNAL_TOL,
-    SignalingVerdict,
-    _factorization_deviation,
-    signaling_verdict,
-)
+from .nosignal import NOSIGNAL_TOL, SignalingVerdict, signaling_verdict
 from . import counterexample
 
 TSIRELSON = float(2.0 * np.sqrt(2.0))
@@ -95,21 +93,55 @@ def chsh_value(c: Channel) -> float:
     return abs(corr(0, 0) + corr(0, 1) + corr(1, 0) - corr(1, 1))
 
 
-def extremality_rank(c: Channel):
-    """(number of Kraus, rank of {K_i† K_j}, full).  Full rank certifies extremality.
+def _deviation_rows(ks, c: Channel, in_labels, out_labels):
+    """Row (i, j): the deviation Tr_{out_labels} D - I_{in_labels} (x) S of
+    D = |K_j>><<K_i| (see `nosignal._factorization_deviation`), transposed."""
+    lay = choi_layout(c.out_layout, c.in_layout)
+    traced = [l + OUT_TAG for l in out_labels]
+    sender = [l + IN_TAG for l in in_labels]
+    ds = lay.select(sender).total_dim  # an unknown or repeated label raises
+    dr = lay.total_dim // (lay.select(traced).total_dim * ds)
+    if not sender:  # no rows: the deviation vanishes identically
+        return np.empty((len(ks) ** 2, 0))
+    front = sender + [l for l in lay.labels if l not in traced + sender]
+    # One (bra, ket) pair of einsum subscripts per leg; traced legs share theirs.
+    bra = {l: 2 + 2 * n for n, l in enumerate(lay.labels)}
+    ket = {l: bra[l] + (l not in traced) for l in lay.labels}
+    t = ks.reshape((len(ks),) + lay.dims)
+    m = np.einsum(
+        t.conj(), [0] + [bra[l] for l in lay.labels], t, [1] + [ket[l] for l in lay.labels],
+        [0, 1] + [bra[l] for l in front] + [ket[l] for l in front], optimize=True,
+    ).reshape(len(ks) ** 2, ds, dr, ds, dr)
+    m -= np.eye(ds)[:, None, :, None] * np.einsum("psasb->pab", m)[:, None, :, None] / ds
+    return m.reshape(len(ks) ** 2, -1)
 
-    The rank is read off the singular values of the r² x d_in² stack of the
-    products, which span at most d_in² dimensions.  Singular values at or
-    below EXTREMALITY_REL_TOL times the largest count as zero, the rule
-    `ns_face_dimension` applies, so r² minus this rank is its face dimension
-    without no-signaling rows.
+
+def _kraus_pair_rank(c: Channel, sides):
+    """(r, singular values above the cut, cut) of the constraints on Kraus pairs.
+
+    Row (i, j) constrains D = |K_j>><<K_i|, K = `kraus_from_choi(c)`: first
+    Tr_out D, transposed the product K_i† K_j, then `_deviation_rows` of each
+    (sender inputs, sender outputs) side.  Singular values at or below
+    EXTREMALITY_REL_TOL times the largest count as zero.
     """
     ks = np.array(kraus_from_choi(c))
     r = len(ks)
-    products = np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(r * r, c.d_in * c.d_in)
-    sv = np.linalg.svd(products, compute_uv=False)
-    rank = int(np.sum(sv > EXTREMALITY_REL_TOL * sv[0]))
-    return r, rank, rank == r * r
+    rows = [np.einsum("iab,jac->ijbc", ks.conj(), ks).reshape(r * r, c.d_in * c.d_in)]
+    rows += [_deviation_rows(ks, c, *side) for side in sides]
+    sv = np.linalg.svd(np.concatenate(rows, axis=1), compute_uv=False)
+    cut = EXTREMALITY_REL_TOL * sv[0]
+    return r, sv[sv > cut], float(cut)
+
+
+def extremality_rank(c: Channel):
+    """(number of Kraus, rank of {K_i† K_j}, full).  Full rank certifies extremality.
+
+    The rank is that of the trace-preservation rows of `_kraus_pair_rank`,
+    the r² x d_in² stack of the products, so r² minus it is
+    `ns_face_dimension` without no-signaling rows.
+    """
+    r, kept, _ = _kraus_pair_rank(c, ())
+    return r, kept.size, kept.size == r * r
 
 
 @dataclass(frozen=True)
@@ -117,29 +149,14 @@ class FaceDimension:
     """Dimension of the face of a convex set of channels at one channel.
 
     `min_singular_value` is the smallest singular value of the constraint map
-    above `tolerance`, so it measures the gap behind the count.
+    above `tolerance`, in the basis of Kraus pairs (i, j) scaled by the
+    Choi eigenvalues' square roots, so it measures the gap behind the count.
     """
 
     support_rank: int
     face_dimension: int
     min_singular_value: float
     tolerance: float
-
-
-def _hermitian_basis(r: int):
-    """Hilbert-Schmidt orthonormal basis of the r x r Hermitian matrices."""
-    for i in range(r):
-        for j in range(i, r):
-            if i == j:
-                x = np.zeros((r, r), dtype=complex)
-                x[i, i] = 1
-                yield x
-                continue
-            for phase in (1, 1j):
-                x = np.zeros((r, r), dtype=complex)
-                x[i, j] = phase / np.sqrt(2)
-                x[j, i] = np.conj(phase) / np.sqrt(2)
-                yield x
 
 
 def ns_face_dimension(
@@ -151,39 +168,19 @@ def ns_face_dimension(
 ) -> FaceDimension:
     """Dimension of the face of the no-signaling channels that contains c.
 
-    With V an orthonormal basis of the support of the Choi (eigenvalues above
-    KRAUS_CUTOFF, as in `kraus_from_choi`), c +- eps V X V† stays completely
-    positive for every Hermitian r x r matrix X and small eps.  The face
-    dimension is the dimension of the real kernel of X -> (Tr_out D, A-to-B
-    deviation of D, B-to-A deviation of D) with D = V X V†, the deviations
-    being the ones `signaling_verdict` measures.  It is 0 exactly when c,
-    assumed no-signaling, is extreme among no-signaling channels.  Singular
-    values at or below EXTREMALITY_REL_TOL times the largest count as kernel.
-
-    Empty label lists make the no-signaling rows vacuous, and the face is
-    then the one among all channels: r² minus `extremality_rank`'s rank.
+    For the r Kraus operators K of `kraus_from_choi`, c +- eps D with
+    D = sum_ij X_ij |K_j>><<K_i| stays completely positive for every
+    Hermitian r x r matrix X and small eps.  The face dimension is the
+    dimension of the real kernel of X -> (Tr_out D, A-to-B deviation of D,
+    B-to-A deviation of D), the deviations `signaling_verdict` measures.
+    The map preserves Hermiticity, so that is the complex kernel's
+    dimension on all X: r² minus the rank of `_kraus_pair_rank`.  It is 0
+    exactly when c, assumed no-signaling, is extreme among no-signaling
+    channels.  Empty label lists give the face among all channels.
     """
-    ks = kraus_from_choi(c)
-    v = np.array([k.reshape(-1) / np.linalg.norm(k) for k in ks]).T
-    r = v.shape[1]
-    lay = choi_layout(c.out_layout, c.in_layout)
-    out_labels = lay.labels[: len(c.out_layout)]
-
-    def constraints(x):
-        d = v @ x @ v.conj().T
-        rows = [
-            ptrace(d, lay, out_labels),
-            _factorization_deviation(d, c.in_layout, c.out_layout, a_in_labels, a_out_labels)[0],
-            _factorization_deviation(d, c.in_layout, c.out_layout, b_in_labels, b_out_labels)[0],
-        ]
-        flat = np.concatenate([m.reshape(-1) for m in rows])
-        return np.concatenate([flat.real, flat.imag])
-
-    m = np.array([constraints(x) for x in _hermitian_basis(r)]).T
-    sv = np.linalg.svd(m, compute_uv=False)
-    tol = EXTREMALITY_REL_TOL * sv[0]
-    kept = sv[sv > tol]
-    return FaceDimension(r, r * r - kept.size, float(kept[-1]), float(tol))
+    sides = ((a_in_labels, a_out_labels), (b_in_labels, b_out_labels))
+    r, kept, cut = _kraus_pair_rank(c, sides)
+    return FaceDimension(r, r * r - kept.size, float(kept[-1]), cut)
 
 
 def analyze(

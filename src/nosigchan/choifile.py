@@ -26,9 +26,13 @@ def _layout_to_json(lay: SystemLayout):
 
 def _layout_from_json(items) -> SystemLayout:
     try:  # SystemLayout rejects a dim that is not an integer >= 1, bool included
-        return SystemLayout(tuple((s["label"], s["dim"]) for s in items))
+        lay = SystemLayout(tuple((s["label"], s["dim"]) for s in items))
     except (KeyError, TypeError, ValueError) as exc:  # TensorError is a ValueError
         raise ChoiFileError(f"bad dims entry: {exc}") from exc
+    # SystemLayout turns any label into a string: null would name a wire "None"
+    if any(type(s["label"]) is not str for s in items):
+        raise ChoiFileError("bad dims entry: every label must be a string")
+    return lay
 
 
 def channel_to_dict(c: Channel) -> dict:
@@ -53,7 +57,7 @@ def _channel_from_dict(data: dict) -> Channel:
     if not isinstance(data, dict):
         raise ChoiFileError("top level must be an object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise ChoiFileError(f"unsupported format_version {version!r}")
     for key in ("in_dims", "out_dims", "choi"):
         if key not in data:

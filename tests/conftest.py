@@ -2,15 +2,25 @@
 `apply`, the channel's action read straight off its Choi operator,
 `choi_from_map`, which builds a Choi operator one matrix unit at a time,
 `prepare_channel`, the state-vector helpers `permute_vector` and
-`vector_bra_contract`, and `gram_rank`.  The package no longer uses the last
-four; the tests keep them as independent oracles."""
+`vector_bra_contract`, `gram_rank` and `face_dimension_by_basis`.  The
+package no longer uses the last five; the tests keep them as independent
+oracles."""
 from typing import Callable, Sequence
 
 import numpy as np
 import pytest
 
-from nosigchan.tensor import SystemLayout, TensorError, as_matrix, eigh, kron, layout
-from nosigchan.channels import Channel, ChannelError, channel_from_kraus, outcome_stack
+from nosigchan.tensor import SystemLayout, TensorError, as_matrix, eigh, kron, layout, ptrace
+from nosigchan.channels import (
+    Channel,
+    ChannelError,
+    channel_from_kraus,
+    choi_layout,
+    kraus_from_choi,
+    outcome_stack,
+)
+from nosigchan.nosignal import _factorization_deviation
+from nosigchan.analysis import EXTREMALITY_REL_TOL, FaceDimension
 
 OUTCOME = "#x"
 
@@ -114,6 +124,59 @@ def gram_rank(ops: Sequence[np.ndarray], rel_tol: float = 1e-10) -> int:
     if top <= 0:
         return 0
     return int(np.sum(w > rel_tol * top))
+
+
+def _hermitian_basis(r: int):
+    """Hilbert-Schmidt orthonormal basis of the r x r Hermitian matrices."""
+    for i in range(r):
+        for j in range(i, r):
+            if i == j:
+                x = np.zeros((r, r), dtype=complex)
+                x[i, i] = 1
+                yield x
+                continue
+            for phase in (1, 1j):
+                x = np.zeros((r, r), dtype=complex)
+                x[i, j] = phase / np.sqrt(2)
+                x[j, i] = np.conj(phase) / np.sqrt(2)
+                yield x
+
+
+def face_dimension_by_basis(
+    c: Channel,
+    a_in_labels: Sequence[str],
+    a_out_labels: Sequence[str],
+    b_in_labels: Sequence[str],
+    b_out_labels: Sequence[str],
+) -> FaceDimension:
+    """`analysis.ns_face_dimension` one Hermitian basis element at a time.
+
+    The real constraint matrix has one column per element X of the basis:
+    Tr_out D and both factorization deviations of D = V X V†, with V the
+    unit-norm Kraus vectors, real and imaginary parts stacked.  The oracle
+    for the face dimension, which the package reads off Kraus pairs.
+    """
+    ks = kraus_from_choi(c)
+    v = np.array([k.reshape(-1) / np.linalg.norm(k) for k in ks]).T
+    r = v.shape[1]
+    lay = choi_layout(c.out_layout, c.in_layout)
+    out_labels = lay.labels[: len(c.out_layout)]
+
+    def constraints(x):
+        d = v @ x @ v.conj().T
+        rows = [
+            ptrace(d, lay, out_labels),
+            _factorization_deviation(d, c.in_layout, c.out_layout, a_in_labels, a_out_labels)[0],
+            _factorization_deviation(d, c.in_layout, c.out_layout, b_in_labels, b_out_labels)[0],
+        ]
+        flat = np.concatenate([m.reshape(-1) for m in rows])
+        return np.concatenate([flat.real, flat.imag])
+
+    m = np.array([constraints(x) for x in _hermitian_basis(r)]).T
+    sv = np.linalg.svd(m, compute_uv=False)
+    tol = EXTREMALITY_REL_TOL * sv[0]
+    kept = sv[sv > tol]
+    return FaceDimension(r, r * r - kept.size, float(kept[-1]), float(tol))
 
 
 def prepare_channel(sigma, out_layout: SystemLayout, in_layout: SystemLayout) -> Channel:

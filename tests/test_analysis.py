@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nosigchan.tensor import embed, layout, pauli, ptranspose
+from nosigchan.tensor import TensorError, embed, layout, pauli, ptranspose
 from nosigchan.channels import (
     Channel,
     channel_from_kraus,
@@ -19,7 +19,12 @@ from nosigchan.channels import (
     kraus_from_choi,
     unitary_channel,
 )
-from nosigchan.nosignal import NOSIGNAL_TOL, build_localizable, signaling_verdict
+from nosigchan.nosignal import (
+    NOSIGNAL_TOL,
+    _factorization_deviation,
+    build_localizable,
+    signaling_verdict,
+)
 from nosigchan.counterexample import (
     IN_LAYOUT,
     OUT_LAYOUT,
@@ -27,6 +32,7 @@ from nosigchan.counterexample import (
 )
 from nosigchan.analysis import (
     CHSH_SLACK,
+    _deviation_rows,
     EXTREMALITY_REL_TOL,
     PPT_TOL,
     TSIRELSON,
@@ -36,7 +42,13 @@ from nosigchan.analysis import (
     ns_face_dimension,
     ppt_min_eig,
 )
-from conftest import gram_rank, prepare_channel, random_cptp, random_density
+from conftest import (
+    face_dimension_by_basis,
+    gram_rank,
+    prepare_channel,
+    random_cptp,
+    random_density,
+)
 
 R_WIRES = (["A"], ["A", "W_A"], ["B"], ["W_B", "B"])
 
@@ -232,8 +244,11 @@ def test_r_alpha_kraus_products_span_ten_dimensions():
 def test_r_alpha_rank_holds_as_alpha_approaches_one():
     # Six products scale as 1 - alpha, far above rounding at these alpha.  A
     # cut on the Gram eigenvalues (1 - alpha)² dropped them from 0.99998 on
-    # and reported rank 1, against face dimension 6 among all channels.
-    for alpha in (0.9999, 0.99998, 0.9999919239485958, 0.999999):
+    # and reported rank 1, against face dimension 6 among all channels.  A
+    # face read off unit-norm Kraus vectors (`face_dimension_by_basis`)
+    # reads 5 at 1 - 3e-7, 1 - 3e-8 and 1 - 1e-8.
+    alphas = (0.9999, 0.99998, 0.9999919239485958, 0.999999)
+    for alpha in alphas + (1 - 3e-7, 1 - 1e-7, 1 - 3e-8, 1 - 1e-8):
         c = build_r_alpha_kraus(alpha)
         assert extremality_rank(c) == (4, 10, False), alpha
         assert ns_face_dimension(c, [], [], [], []).face_dimension == 6, alpha
@@ -286,11 +301,8 @@ def test_mixture_of_no_signaling_channels_has_a_positive_face(rng):
     assert face.face_dimension > 0
 
 
-def test_each_no_signaling_direction_shrinks_the_face():
-    # The PR box p(ab|xy) = [a ^ b == x & y] / 2 is the midpoint of the two
-    # boxes a = r, b = r ^ xy (r = 0, 1), which signal A -> B only, and of
-    # their mirror images, which signal B -> A only.  So either direction's
-    # rows alone leave a strictly larger face than both together.
+def _pr_box():
+    """The PR box p(ab|xy) = [a ^ b == x & y] / 2 as a classical channel."""
     p = np.zeros(16)
     for a in range(2):
         for b in range(2):
@@ -298,12 +310,26 @@ def test_each_no_signaling_direction_shrinks_the_face():
                 for y in range(2):
                     if a ^ b == x & y:
                         p[8 * a + 4 * b + 2 * x + y] = 0.5
-    box = Channel(np.diag(p), layout("A", "B"), layout("Ap", "Bp"))
-    a_rows, b_rows = (["A"], ["Ap"]), (["B"], ["Bp"])
-    both = ns_face_dimension(box, *a_rows, *b_rows).face_dimension
-    a_only = ns_face_dimension(box, *a_rows, [], []).face_dimension
-    b_only = ns_face_dimension(box, [], [], *b_rows).face_dimension
+    return Channel(np.diag(p), layout("A", "B"), layout("Ap", "Bp"))
+
+
+PR_BOX_ROWS = ((["A"], ["Ap"], ["B"], ["Bp"]), (["A"], ["Ap"], [], []), ([], [], ["B"], ["Bp"]))
+
+
+def test_each_no_signaling_direction_shrinks_the_face():
+    # The PR box is the midpoint of the two boxes a = r, b = r ^ xy
+    # (r = 0, 1), which signal A -> B only, and of their mirror images,
+    # which signal B -> A only.  So either direction's rows alone leave a
+    # strictly larger face than both together.
+    both, a_only, b_only = (ns_face_dimension(_pr_box(), *w).face_dimension for w in PR_BOX_ROWS)
     assert both < a_only and both < b_only
+
+
+def test_face_rejects_labels_that_name_no_wire():
+    c = build_r_alpha_kraus(0.2)
+    for wires in ((["A"], ["A", "typo"], [], []), ([], ["typo"], [], []), (["A", "A"], [], [], [])):
+        with pytest.raises(TensorError):
+            ns_face_dimension(c, *wires)
 
 
 def test_face_without_no_signaling_rows_matches_choi_rank():
@@ -312,6 +338,76 @@ def test_face_without_no_signaling_rows_matches_choi_rank():
         face = ns_face_dimension(c, [], [], [], [])
         assert face.support_rank == r
         assert face.face_dimension == r * r - rank == expected
+
+
+def test_face_dimension_equals_hermitian_basis_oracle(rng):
+    # Left out: 1 - alpha < 1e-6, where the oracle is the one that is wrong.
+    # Three Choi eigenvalues there are nearly equal, about 1 - alpha, so their
+    # eigenvectors carry rounding of order 1e-16 / (1 - alpha).  Scaled by
+    # their square roots it stays far below the cut; on the oracle's
+    # unit-norm vectors a zero singular value reads 1.6e-10 of the largest at
+    # 1 - 3e-7, above the cut of 1e-10, and the face reads 5, not 6.
+    alphas = list(np.linspace(0.0, 1.0, 41)) + [1e-6, 1.0 / 6.0, 0.123456789, 2.0 / 3.0]
+    cases = [(build_r_alpha_kraus(float(a)), w) for a in alphas for w in (R_WIRES, ([],) * 4)]
+    cases += [(random_cptp(rng, IN_LAYOUT, OUT_LAYOUT, n_kraus=r), R_WIRES) for r in (1, 2, 4, 8, 16)]
+    cases += [(_pr_box(), w) for w in PR_BOX_ROWS]
+    for c, wires in cases:
+        face = ns_face_dimension(c, *wires)
+        assert face.face_dimension == face_dimension_by_basis(c, *wires).face_dimension
+
+
+def test_deviation_rows_are_the_verdicts_deviation(rng):
+    # The face's no-signaling rows and `signaling_verdict` share no code; a
+    # linear identity ties them.  Summed with weights X_ij, the rows of the
+    # pairs (i, j) are the transposed deviation of D = sum_ij X_ij |K_j>><<K_i|.
+    # X = 1 gives D = the Choi itself; a random X makes D signal, so neither
+    # case reads 0 = 0.
+    for c in (build_r_alpha_kraus(1.0 / 6.0), random_cptp(rng, IN_LAYOUT, OUT_LAYOUT, n_kraus=5)):
+        ks = np.array(kraus_from_choi(c))
+        r = len(ks)
+        v = ks.reshape(r, -1).T
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        for in_labels, out_labels in (R_WIRES[:2], R_WIRES[2:]):
+            rows = _deviation_rows(ks, c, in_labels, out_labels)
+            for x in (np.eye(r), g):
+                d = v @ x.T @ v.conj().T
+                dev = _factorization_deviation(d, c.in_layout, c.out_layout, in_labels, out_labels)[0]
+                assert np.max(np.abs((x.reshape(-1) @ rows).reshape(dev.shape) - dev.T)) <= 1e-14
+
+
+@st.composite
+def rotated_r_alpha_layout_channels(draw):
+    """A channel of Kraus rank <= 4 in the R_alpha layout, and its image under
+    a random local output unitary U_A (x) U_B on (A, W_A) | (W_B, B).
+
+    The Gaussian entries come from a drawn seed: generic draws keep every
+    singular value far from the cut, which hypothesis' shrunk floats need not.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["isometry", "mixture", "r_alpha"]))
+    r = draw(st.integers(1, 4))
+    if kind == "isometry":
+        c = random_cptp(rng, IN_LAYOUT, OUT_LAYOUT, n_kraus=r)
+    elif kind == "mixture":  # of r product isometries: a face of dimension > 0 from r = 2
+        p = rng.dirichlet(np.ones(r))
+        choi = sum(w * _product_isometry(rng).choi for w in p)
+        c = Channel(choi, IN_LAYOUT, OUT_LAYOUT)
+    else:
+        c = build_r_alpha_kraus(draw(st.floats(0.0, 0.999)))
+    g = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    u = np.kron(np.kron(np.linalg.qr(g[0])[0], np.linalg.qr(g[1])[0]), np.eye(c.d_in))
+    return c, Channel(u @ c.choi @ u.conj().T, c.in_layout, c.out_layout)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rotated_r_alpha_layout_channels())
+def test_certificates_invariant_under_local_output_unitaries(pair):
+    # K -> U K leaves every K_i† K_j fixed, and a local unitary maps the
+    # no-signaling set onto itself.
+    c, rotated = pair
+    assert extremality_rank(rotated) == extremality_rank(c)
+    face = ns_face_dimension(c, *R_WIRES).face_dimension
+    assert ns_face_dimension(rotated, *R_WIRES).face_dimension == face
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,17 @@ def test_from_dict_rejects_malformed():
         channel_from_dict(dict(good, choi=choi))
 
 
+def test_load_rejects_a_label_that_is_not_a_string(tmp_path):
+    # A layout turns any label into a string, so null would name a wire "None"
+    for label in (None, ["A"]):
+        d = channel_to_dict(identity_channel(layout("A", "B")))
+        d["in_dims"][0]["label"] = label
+        p = tmp_path / "bad-label.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ChoiFileError, match="label"):
+            load_channel(p)
+
+
 def test_load_rejects_non_json(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("not json at all {")
@@ -255,6 +266,8 @@ MALFORMED = {
     "cell-of-three-numbers": lambda d: d["choi"][0][1].append(1.0),
     "cell-of-booleans": lambda d: d["choi"][0].__setitem__(0, [True, False]),
     "not-utf-8": lambda d: np.random.default_rng(0).bytes(200),
+    "version-true": lambda d: d.update(format_version=True),
+    "version-float": lambda d: d.update(format_version=1.0),
 }
 
 
