@@ -74,7 +74,7 @@ class Channel:
     def validate(self) -> "Channel":
         """Check complete positivity and trace preservation; returns self."""
         try:
-            w = eigvalsh(self.choi, tol=CP_TOL)
+            w = eigvalsh(self.choi)
         except TensorError as exc:
             raise ChannelError(f"not completely positive: {exc}") from exc
         if w[-1] < -CP_TOL:

@@ -25,14 +25,12 @@ def _layout_to_json(lay: SystemLayout):
 
 
 def _layout_from_json(items) -> SystemLayout:
-    try:  # SystemLayout rejects a dim that is not an integer >= 1, bool included
-        lay = SystemLayout(tuple((s["label"], s["dim"]) for s in items))
+    # SystemLayout rejects a label that is not a string and a dim that is not
+    # an integer >= 1, bool included
+    try:
+        return SystemLayout(tuple((s["label"], s["dim"]) for s in items))
     except (KeyError, TypeError, ValueError) as exc:  # TensorError is a ValueError
         raise ChoiFileError(f"bad dims entry: {exc}") from exc
-    # SystemLayout turns any label into a string: null would name a wire "None"
-    if any(type(s["label"]) is not str for s in items):
-        raise ChoiFileError("bad dims entry: every label must be a string")
-    return lay
 
 
 def channel_to_dict(c: Channel) -> dict:

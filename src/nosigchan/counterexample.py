@@ -40,7 +40,7 @@ from .tensor import (
     ptrace,
 )
 from .channels import (OUT_TAG, TP_TOL, Channel, ChannelError, channel_from_kraus, choi_layout,
-                       link, outcome_stack, tp_residual)
+                       outcome_stack, tp_residual)
 from .nosignal import build_realization_cc
 
 IN_LAYOUT = layout("A", "B")
@@ -225,6 +225,22 @@ def _cp_map(kraus, in_layout: SystemLayout, out_layout: SystemLayout) -> Channel
     return Channel(vs.T @ vs.conj(), in_layout, out_layout)
 
 
+def _piece(p: str, w_op, fire: bool, effects) -> Channel:
+    """One party's branch (p, E_p) -> p's outputs, E_p = (X_p, W_p): its gates
+    multiplied on (p, X_p, W_p), then one Kraus operator per X_p outcome in `effects`."""
+    x, w = "X_" + p, "W_" + p
+    lay = layout(p, x, w)
+    k = embed(controlled_swap(2), [w, p, x], lay) @ embed(w_op, [w], lay)
+    if fire:  # sigma_x on p iff X_p and W_p are both 1
+        k = embed(kron(_P0, np.eye(4)) + kron(_P1, _controlled_sigma_x()), [x, w, p], lay) @ k
+    k = k.reshape(2, 2, 2, 8)[:, effects]  # axes (p, effect on X_p, W_p, inputs)
+    if p == "A":  # A' is (A, W_A) and B' is (W_B, B)
+        k, out = k.transpose(1, 0, 2, 3), layout("A", "W_A")
+    else:
+        k, out = k.transpose(1, 2, 0, 3), layout("W_B", "B")
+    return _cp_map(k.reshape(len(effects), 4, 8), SystemLayout(((p, 2), ("E_" + p, 4))), out)
+
+
 def realization_spec(alpha: float, direction: str = "B_to_A") -> tuple[Channel, Channel]:
     """Strict one-round classical-communication form over a (1/2)|I>> pair.
 
@@ -241,41 +257,10 @@ def realization_spec(alpha: float, direction: str = "B_to_A") -> tuple[Channel, 
     if direction not in ("A_to_B", "B_to_A"):
         raise ValueError(f"unknown direction {direction!r}")
     m_ops = _nielsen_filters(alpha)
-    i2 = np.eye(2)
-    bras = np.eye(2, dtype=complex)
-
-    if direction == "B_to_A":
-        snd, rcv = "B", "A"
-    else:
-        snd, rcv = "A", "B"
-
-    def on_w(p, op):
-        """Split the ancilla E_p into qubits (X_p, W_p) and apply op to W_p."""
-        return _cp_map([kron(i2, i2, op)], SystemLayout(((p, 2), ("E_" + p, 4))),
-                       layout(p, "X_" + p, "W_" + p))
-
-    def then_swap(c, p):
-        lay = layout("W_" + p, p, "X_" + p)
-        return link(c, _cp_map([controlled_swap(2)], lay, lay), lay.labels)
-
-    def drop_x(c, p, effects):
-        """Remove X_p through the given effects.  One wire is re-emitted so that
-        it comes last: A' is (A, W_A) and B' is (W_B, B)."""
-        keep = layout("W_A" if p == "A" else "B")
-        piece = _cp_map([kron(e, i2) for e in effects], layout("X_" + p).concat(keep), keep)
-        return link(c, piece, piece.in_layout.labels)
-
-    fire_lay = layout("X_" + rcv, "W_" + rcv, rcv)
-    fire = _cp_map([kron(_P0, np.eye(4)) + kron(_P1, _controlled_sigma_x())], fire_lay, fire_lay)
-    branches = []
-    corrections = []
-    for meas in range(2):
-        for k in range(2):
-            branches.append(drop_x(then_swap(on_w(snd, m_ops[k]), snd), snd, [bras[meas]]))
-            got = then_swap(on_w(rcv, pauli("x") if k == 1 else i2), rcv)
-            if meas == 1:
-                got = link(got, fire, fire_lay.labels)
-            corrections.append(drop_x(got, rcv, bras))
+    snd, rcv = ("B", "A") if direction == "B_to_A" else ("A", "B")
+    branches = [_piece(snd, m_ops[k], False, [m]) for m in range(2) for k in range(2)]
+    corrections = [_piece(rcv, pauli("x") if k else pauli("i"), m == 1, [0, 1])
+                   for m in range(2) for k in range(2)]
 
     b0, c0 = branches[0], corrections[0]
     sender = Channel(outcome_stack([b.choi for b in branches], b0.d_out, b0.d_in),

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-9
 
 
 class TensorError(ValueError):
@@ -40,9 +40,12 @@ class SystemLayout:
     subsystems: Tuple[Tuple[str, int], ...]
 
     def __post_init__(self):
-        subs = tuple((str(l), _dimension(l, d)) for l, d in self.subsystems)
+        subs = tuple((l, _dimension(l, d)) for l, d in self.subsystems)
         object.__setattr__(self, "subsystems", subs)
         labels = [l for l, _ in subs]
+        for l in labels:
+            if not isinstance(l, str):
+                raise TensorError(f"subsystem label {l!r} is not a string")
         if len(set(labels)) != len(labels):
             raise TensorError(f"duplicate labels in layout: {labels}")
         for l, d in subs:

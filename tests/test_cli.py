@@ -226,6 +226,23 @@ def test_check_non_psd_matrix(capsys, tmp_path):
     assert "not completely positive" in err
 
 
+def test_check_shares_validate_hermiticity_tolerance(capsys, tmp_path):
+    # +eps*i at (0, 5) and at (5, 0) puts max|M - M†| at 2 eps: under the one
+    # Hermiticity tolerance (1e-9) the file is analysed, above it rejected
+    for eps, want in ((4e-10, 0), (2e-9, 1)):
+        d = channel_to_dict(identity_channel(layout("A", "B")))
+        d["choi"][0][5][1] += eps
+        d["choi"][5][0][1] += eps
+        p = tmp_path / "near-hermitian.json"
+        p.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "check", str(p), "--sender", "A", "--receiver", "B")
+        assert code == want, err
+        if want == 0:
+            assert json.loads(out)["analysis"]["nosignaling"]["a_to_b"]
+        else:
+            assert out == "" and "not a channel" in err
+
+
 def test_check_non_finite_entry_exits_2(capsys, tmp_path):
     for (i, j), value in (((0, 1), float("nan")), ((1, 1), float("inf"))):
         d = channel_to_dict(identity_channel(layout("A")))

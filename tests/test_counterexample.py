@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import (
+    SystemLayout,
     bra_sandwich,
     controlled_swap,
     embed,
@@ -15,7 +16,7 @@ from nosigchan.tensor import (
     permute_to,
     ptrace,
 )
-from nosigchan.channels import OUT_TAG, ChannelError, choi_layout, outcome_stack
+from nosigchan.channels import OUT_TAG, Channel, ChannelError, choi_layout, link, outcome_stack
 from nosigchan.nosignal import build_realization_cc, signaling_verdict
 from nosigchan import counterexample
 from nosigchan.counterexample import (
@@ -31,6 +32,8 @@ from nosigchan.counterexample import (
     pair_state_vec,
     realization_spec,
 )
+from nosigchan.counterexample import (_OUTCOME, _P0, _P1, _check_alpha, _controlled_sigma_x,
+                                      _cp_map, _nielsen_filters)
 from conftest import apply, choi_from_map, permute_vector, random_density, vector_bra_contract
 
 ALPHA_GRID = [0.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 1.0]
@@ -235,6 +238,57 @@ def instrument_by_matrix_units(alpha, variant):
     return outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim)
 
 
+def realization_spec_by_links(alpha, direction="B_to_A"):
+    """The one-round realization with every gate its own single-Kraus channel,
+    chained through the link product: 25 channels and 18 links per call."""
+    alpha = _check_alpha(alpha)
+    if direction not in ("A_to_B", "B_to_A"):
+        raise ValueError(f"unknown direction {direction!r}")
+    m_ops = _nielsen_filters(alpha)
+    i2 = np.eye(2)
+    bras = np.eye(2, dtype=complex)
+
+    if direction == "B_to_A":
+        snd, rcv = "B", "A"
+    else:
+        snd, rcv = "A", "B"
+
+    def on_w(p, op):
+        """Split the ancilla E_p into qubits (X_p, W_p) and apply op to W_p."""
+        return _cp_map([kron(i2, i2, op)], SystemLayout(((p, 2), ("E_" + p, 4))),
+                       layout(p, "X_" + p, "W_" + p))
+
+    def then_swap(c, p):
+        lay = layout("W_" + p, p, "X_" + p)
+        return link(c, _cp_map([controlled_swap(2)], lay, lay), lay.labels)
+
+    def drop_x(c, p, effects):
+        """Remove X_p through the given effects.  One wire is re-emitted so that
+        it comes last: A' is (A, W_A) and B' is (W_B, B)."""
+        keep = layout("W_A" if p == "A" else "B")
+        piece = _cp_map([kron(e, i2) for e in effects], layout("X_" + p).concat(keep), keep)
+        return link(c, piece, piece.in_layout.labels)
+
+    fire_lay = layout("X_" + rcv, "W_" + rcv, rcv)
+    fire = _cp_map([kron(_P0, np.eye(4)) + kron(_P1, _controlled_sigma_x())], fire_lay, fire_lay)
+    branches = []
+    corrections = []
+    for meas in range(2):
+        for k in range(2):
+            branches.append(drop_x(then_swap(on_w(snd, m_ops[k]), snd), snd, [bras[meas]]))
+            got = then_swap(on_w(rcv, pauli("x") if k == 1 else i2), rcv)
+            if meas == 1:
+                got = link(got, fire, fire_lay.labels)
+            corrections.append(drop_x(got, rcv, bras))
+
+    b0, c0 = branches[0], corrections[0]
+    sender = Channel(outcome_stack([b.choi for b in branches], b0.d_out, b0.d_in),
+                     b0.in_layout, b0.out_layout.concat(_OUTCOME))
+    receiver = Channel(outcome_stack([c.choi for c in corrections], c0.d_out, c0.d_in),
+                       _OUTCOME.concat(c0.in_layout), c0.out_layout)
+    return sender, receiver
+
+
 def test_kraus_operators_equal_state_vector_simulation():
     for alpha in PARITY_ALPHAS:
         for got, want in zip(kraus_operators(alpha), kraus_by_state_vector(alpha), strict=True):
@@ -250,6 +304,20 @@ def test_circuit_equals_matrix_unit_simulation(variant):
         lay = choi_layout(ins.out_layout, ins.in_layout)
         traced = ptrace(want, lay, [ins.out_layout.labels[-1] + OUT_TAG])
         assert np.array_equal(build_r_alpha_circuit(alpha, variant).choi, traced), alpha
+
+
+@pytest.mark.parametrize("direction", ["B_to_A", "A_to_B"])
+def test_realization_spec_equals_link_chain(direction):
+    for alpha in PARITY_ALPHAS:
+        sender, receiver = realization_spec(alpha, direction)
+        want_s, want_r = realization_spec_by_links(alpha, direction)
+        assert np.array_equal(sender.choi, want_s.choi), alpha
+        assert np.array_equal(receiver.choi, want_r.choi), alpha
+        assert sender.in_layout == want_s.in_layout and sender.out_layout == want_s.out_layout
+        assert receiver.in_layout == want_r.in_layout
+        assert receiver.out_layout == want_r.out_layout
+        want = build_realization_cc(direction, want_s, want_r).choi
+        assert np.array_equal(build_r_alpha_realization(alpha, direction).choi, want), alpha
 
 
 # ---------------------------------------------------------------------------

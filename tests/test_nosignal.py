@@ -89,6 +89,17 @@ def test_check_label_errors(rng):
         check_nosignaling_dir(c, ["A", "A"], ["Ap"])
 
 
+def test_marginal_that_is_not_a_channel_is_rejected():
+    # 2 x identity factorizes as I_A (x) S with S = 2 x the identity on B:
+    # the factorization test passes, but S is not trace-preserving
+    ident = identity_channel(layout("A", "B"))
+    c = Channel(2 * ident.choi, ident.in_layout, ident.out_layout)
+    want = (r"marginal passed the factorization test but is not a channel "
+            r"\(min eig .*, TP residual 1\.000e\+00\)")
+    with pytest.raises(ChannelError, match=want):
+        check_nosignaling_dir(c, ["A"], ["A"])
+
+
 def test_verdict_invariant_under_sender_input_unitary(rng):
     c = random_cptp(rng, layout("A", "B"), layout("Ap", "Bp"))
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

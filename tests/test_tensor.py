@@ -5,6 +5,7 @@ Oracles are written as independent brute-force index loops so the fast
 reshape-based implementations are checked against first principles.
 """
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,10 @@ def test_layout_errors():
     with pytest.raises(TensorError):
         SystemLayout((("A", True),))
     assert SystemLayout((("A", np.int64(3)),)).dims == (3,)
+    # a label is a string: None or a tuple is never turned into one
+    for label in (None, ("W",)):
+        with pytest.raises(TensorError, match=re.escape(f"label {label!r} is not a string")):
+            SystemLayout(((label, 2),))
     lay = layout("A", "B")
     with pytest.raises(TensorError):
         lay.index("Z")
