@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .tensor import eigh, ptranspose
+from .tensor import eigvalsh, ptranspose
 from .channels import (
     Channel,
     IN_TAG,
@@ -55,8 +55,7 @@ def ppt_min_eig(c: Channel) -> float:
     lay = choi_layout(c.out_layout, c.in_layout)
     in_labels = [l for l in lay.labels if l.endswith(IN_TAG)]
     pt = ptranspose(c.choi, lay, in_labels)
-    w, _ = eigh(pt)
-    return float(w[-1])
+    return float(eigvalsh(pt)[-1])
 
 
 def _chsh_applicable(c: Channel) -> bool:

@@ -241,6 +241,24 @@ def _piece(p: str, w_op, fire: bool, effects) -> Channel:
     return _cp_map(k.reshape(len(effects), 4, 8), SystemLayout(((p, 2), ("E_" + p, 4))), out)
 
 
+@functools.cache
+def _receiver(p: str) -> Channel:
+    """Party p's correction family (outcome, p, E_p) -> p's outputs, read-only.
+
+    Outcome (m, k): undo filter outcome k with sigma_x^k on W_p, then p's
+    half of the circuit, firing sigma_x on p iff m = 1 and X_p, W_p are both
+    1.  It does not depend on alpha, so it is built once per party and
+    process.
+    """
+    corrections = [_piece(p, pauli("x") if k else pauli("i"), m == 1, [0, 1])
+                   for m in range(2) for k in range(2)]
+    c0 = corrections[0]
+    receiver = Channel(outcome_stack([c.choi for c in corrections], c0.d_out, c0.d_in),
+                       _OUTCOME.concat(c0.in_layout), c0.out_layout)
+    receiver.choi.flags.writeable = False
+    return receiver
+
+
 def realization_spec(alpha: float, direction: str = "B_to_A") -> tuple[Channel, Channel]:
     """Strict one-round classical-communication form over a (1/2)|I>> pair.
 
@@ -251,7 +269,9 @@ def realization_spec(alpha: float, direction: str = "B_to_A") -> tuple[Channel, 
     filter outcome); the receiver applies the filtering correction and its
     half, firing sigma_x iff both computational outcomes were 1.  Direction
     "B_to_A" puts the sigma_x on the A side (the original circuit); "A_to_B"
-    is the mirrored variant.
+    is the mirrored variant.  The receiver does not depend on alpha: it is
+    built once per direction and process, shared between calls, and its
+    Choi is read-only.
     """
     alpha = _check_alpha(alpha)
     if direction not in ("A_to_B", "B_to_A"):
@@ -259,15 +279,10 @@ def realization_spec(alpha: float, direction: str = "B_to_A") -> tuple[Channel, 
     m_ops = _nielsen_filters(alpha)
     snd, rcv = ("B", "A") if direction == "B_to_A" else ("A", "B")
     branches = [_piece(snd, m_ops[k], False, [m]) for m in range(2) for k in range(2)]
-    corrections = [_piece(rcv, pauli("x") if k else pauli("i"), m == 1, [0, 1])
-                   for m in range(2) for k in range(2)]
-
-    b0, c0 = branches[0], corrections[0]
+    b0 = branches[0]
     sender = Channel(outcome_stack([b.choi for b in branches], b0.d_out, b0.d_in),
                      b0.in_layout, b0.out_layout.concat(_OUTCOME))
-    receiver = Channel(outcome_stack([c.choi for c in corrections], c0.d_out, c0.d_in),
-                       _OUTCOME.concat(c0.in_layout), c0.out_layout)
-    return sender, receiver
+    return sender, _receiver(rcv)
 
 
 def build_r_alpha_realization(alpha: float, direction: str = "B_to_A") -> Channel:

@@ -8,6 +8,7 @@ ancilla pair, optionally with one round of classical communication.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -227,12 +228,20 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
     return out
 
 
+def _check_relay(v1: Channel, v2: Channel) -> None:
+    if not len(v1.out_layout):
+        raise ChannelError("v1 needs the relay wire as its last output")
+    if not len(v2.in_layout):
+        raise ChannelError("v2 needs the relay wire as its first input")
+
+
 def build_semilocalizable(v1: Channel, v2: Channel) -> Channel:
     """One-way quantum communication: v1 on A emits a relay system consumed by v2.
 
     v1: A -> (A outputs ..., relay), relay last; v2: (relay, B systems ...) -> B
     outputs, relay first.  The result cannot signal from B to the A outputs.
     """
+    _check_relay(v1, v2)
     return link(
         Channel(v1.choi, v1.in_layout, _renamed(v1.out_layout, -1, _RELAY)),
         Channel(v2.choi, _renamed(v2.in_layout, 0, _RELAY), v2.out_layout),
@@ -264,6 +273,25 @@ def teleport_gadget(d: int):
     return bells, corrections
 
 
+@functools.cache
+def _teleport_wire(e: int) -> Channel:
+    """The teleportation wire relay -> relay at relay dimension e, read-only.
+
+    Message x: the effect rho -> <B_x|rho|B_x> on (relay, E_A), then X^p Z^q
+    from E_B onto the relay.  It depends on e alone, so it is built once per
+    relay dimension and process and shared by every caller.
+    """
+    bells, cors = teleport_gadget(e)
+    msg, eb, relay = layout((_MSG, e * e)), layout((_EB, e)), layout((_RELAY, e))
+    sender = Channel(outcome_stack([np.outer(b.conj(), b) for b in bells], 1, e * e),
+                     layout((_RELAY, e), (_EA, e)), msg)
+    receiver = Channel(outcome_stack([unitary_channel(u, eb, relay).choi for u in cors], e, e),
+                       msg.concat(eb), relay)
+    wire = build_realization_cc("A_to_B", sender, receiver)
+    wire.choi.flags.writeable = False
+    return wire
+
+
 def teleport_realization(v1: Channel, v2: Channel) -> Channel:
     """Replace the relay wire of a one-way realization by teleportation.
 
@@ -271,17 +299,11 @@ def teleport_realization(v1: Channel, v2: Channel) -> Channel:
     it against half of a shared pair on the A side, send the outcome, and
     apply the matching X^p Z^q to the other half on the B side.  v1 feeds that
     wire and the wire feeds v2, so the result equals
-    build_semilocalizable(v1, v2).
+    build_semilocalizable(v1, v2).  The wire depends only on the relay
+    dimension, so it is built once per dimension and process; the cached
+    wire is shared between calls and its Choi is read-only.
     """
-    e = v1.out_layout.dims[-1]
-    bells, cors = teleport_gadget(e)
-    # Message x: the effect rho -> <B_x|rho|B_x> on (relay, E_A), then X^p Z^q
-    # from E_B onto the relay.
-    msg, eb, relay = layout((_MSG, e * e)), layout((_EB, e)), layout((_RELAY, e))
-    sender = Channel(outcome_stack([np.outer(b.conj(), b) for b in bells], 1, e * e),
-                     layout((_RELAY, e), (_EA, e)), msg)
-    receiver = Channel(outcome_stack([unitary_channel(u, eb, relay).choi for u in cors], e, e),
-                       msg.concat(eb), relay)
-    wire = build_realization_cc("A_to_B", sender, receiver)
+    _check_relay(v1, v2)
+    wire = _teleport_wire(v1.out_layout.dims[-1])
     v1_relay = Channel(v1.choi, v1.in_layout, _renamed(v1.out_layout, -1, _RELAY))
     return build_semilocalizable(link(v1_relay, wire, [_RELAY]), v2)

@@ -164,6 +164,10 @@ def test_realization_spec_is_well_formed():
     sender.validate()
     receiver.validate()
     build_realization_cc("B_to_A", sender, receiver).validate()
+    # the receiver is built once per direction, shared and read-only
+    assert realization_spec(0.75)[1] is receiver
+    with pytest.raises(ValueError, match="read-only"):
+        receiver.choi[0, 0] = 1
 
 
 def test_realization_direction_checked():

@@ -4,7 +4,9 @@ communication, and the teleportation reduction."""
 import numpy as np
 import pytest
 
+from nosigchan import nosignal
 from nosigchan.tensor import (
+    SystemLayout,
     TensorError,
     embed,
     kron,
@@ -312,6 +314,18 @@ def test_semilocalizable_relay_dim_checked(rng):
         build_semilocalizable(v1, v2)
 
 
+@pytest.mark.parametrize("build", [build_semilocalizable, teleport_realization])
+def test_missing_relay_wire_is_named(rng, build):
+    v1 = random_cptp(rng, layout("A"), layout("Ap", ("E", 2)))
+    v2 = random_cptp(rng, layout(("E", 2), "B"), layout("Bp"))
+    no_output = Channel(np.eye(1), layout(("A", 1)), SystemLayout(()))
+    no_input = Channel(np.eye(1), SystemLayout(()), layout(("Bp", 1)))
+    with pytest.raises(ChannelError, match="v1 needs the relay wire"):
+        build(no_output, v2)
+    with pytest.raises(ChannelError, match="v2 needs the relay wire"):
+        build(v1, no_input)
+
+
 # ---------------------------------------------------------------------------
 # teleportation
 
@@ -361,7 +375,7 @@ def test_teleport_identity_on_random_states(rng):
 
 
 def test_teleport_realization_equals_semilocalizable(rng):
-    for e in (2, 3, 4):
+    for e in (2, 3, 4, 5):
         v1 = random_cptp(rng, layout("A"), layout("Ap", ("E", e)))
         v2 = random_cptp(rng, layout(("E", e), "B"), layout("Bp"))
         semi = build_semilocalizable(v1, v2)
@@ -369,3 +383,27 @@ def test_teleport_realization_equals_semilocalizable(rng):
         assert np.max(np.abs(tele.choi - semi.choi)) <= 1e-10
         assert tele.in_layout.labels == semi.in_layout.labels
         assert tele.out_layout.labels == semi.out_layout.labels
+
+
+def test_teleport_wire_is_built_once_per_relay_dimension(rng, monkeypatch):
+    cases = []
+    for e in rng.permutation([2, 3, 4, 5] * 3):
+        v1 = random_cptp(rng, layout("A"), layout("Ap", ("E", int(e))))
+        v2 = random_cptp(rng, layout(("E", int(e)), "B"), layout("Bp"))
+        cases.append((v1, v2, teleport_realization(v1, v2).choi))
+    wire = nosignal._teleport_wire(2)
+    assert nosignal._teleport_wire(2) is wire
+    with pytest.raises(ValueError, match="read-only"):
+        wire.choi[0, 0] = 1
+    # the uncached build gives the same bytes
+    monkeypatch.setattr(nosignal, "_teleport_wire", nosignal._teleport_wire.__wrapped__)
+    for v1, v2, got in cases:
+        assert np.array_equal(got, teleport_realization(v1, v2).choi)
+
+
+def test_teleport_relay_dimension_one_raises_every_call(rng):
+    v1 = random_cptp(rng, layout("A"), layout("Ap", ("E", 1)))
+    v2 = random_cptp(rng, layout(("E", 1), "B"), layout("Bp"))
+    for _ in range(2):  # an exception is not cached
+        with pytest.raises(TensorError, match="d >= 2"):
+            teleport_realization(v1, v2)
