@@ -8,15 +8,14 @@ from .tensor import (
     embed,
     kron,
     layout,
-    permute_systems,
     ptrace,
     ptranspose,
+    regroup,
 )
 from .channels import (
     Channel,
     ChannelError,
     channel_from_kraus,
-    compose_par,
     compose_seq,
     identity_channel,
     kraus_from_choi,
@@ -52,9 +51,9 @@ from .analysis import (
 
 __all__ = [
     "SystemLayout", "TensorError", "eigh", "embed", "kron", "layout",
-    "permute_systems", "ptrace", "ptranspose",
+    "ptrace", "ptranspose", "regroup",
     "Channel", "ChannelError", "channel_from_kraus",
-    "compose_par", "compose_seq", "identity_channel",
+    "compose_seq", "identity_channel",
     "kraus_from_choi", "link", "outcome_stack", "unitary_channel",
     "SignalingVerdict", "build_localizable",
     "build_realization_cc", "build_semilocalizable", "check_nosignaling_dir",

@@ -26,7 +26,7 @@ from .channels import (
     choi_layout,
     kraus_from_choi,
 )
-from .nosignal import NOSIGNAL_TOL, SignalingVerdict, signaling_verdict
+from .nosignal import NOSIGNAL_TOL, SignalingVerdict, _deviation, signaling_verdict
 from . import counterexample
 
 TSIRELSON = float(2.0 * np.sqrt(2.0))
@@ -94,7 +94,7 @@ def chsh_value(c: Channel) -> float:
 
 def _deviation_rows(ks, c: Channel, in_labels, out_labels):
     """Row (i, j): the deviation Tr_{out_labels} D - I_{in_labels} (x) S of
-    D = |K_j>><<K_i| (see `nosignal._factorization_deviation`), transposed."""
+    D = |K_j>><<K_i| (`nosignal._deviation`, as in the verdict), transposed."""
     lay = choi_layout(c.out_layout, c.in_layout)
     traced = [l + OUT_TAG for l in out_labels]
     sender = [l + IN_TAG for l in in_labels]
@@ -111,8 +111,7 @@ def _deviation_rows(ks, c: Channel, in_labels, out_labels):
         t.conj(), [0] + [bra[l] for l in lay.labels], t, [1] + [ket[l] for l in lay.labels],
         [0, 1] + [bra[l] for l in front] + [ket[l] for l in front], optimize=True,
     ).reshape(len(ks) ** 2, ds, dr, ds, dr)
-    m -= np.eye(ds)[:, None, :, None] * np.einsum("psasb->pab", m)[:, None, :, None] / ds
-    return m.reshape(len(ks) ** 2, -1)
+    return _deviation(m)[0].reshape(len(ks) ** 2, -1)
 
 
 def _kraus_pair_rank(c: Channel, sides):

@@ -209,11 +209,6 @@ def compose_seq(first: Channel, second: Channel) -> Channel:
     )
 
 
-def compose_par(a: Channel, b: Channel) -> Channel:
-    """Choi of a (x) b, output layout a.out ++ b.out, input layout a.in ++ b.in."""
-    return link(a, b, ())
-
-
 def outcome_stack(chois: Sequence[np.ndarray], d_out: int, d_in: int) -> np.ndarray:
     """Choi R[o,x,i; o',x',i'] = delta_xx' B_x[o,i; o',i'] of the branches B_x.
 

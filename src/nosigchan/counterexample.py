@@ -29,7 +29,6 @@ import numpy as np
 
 from .tensor import (
     SystemLayout,
-    bra_sandwich,
     controlled_swap,
     embed,
     kron,
@@ -130,16 +129,16 @@ def _simulate(state: np.ndarray, variant: str) -> np.ndarray:
     s = np.matmul(u, state.reshape(-1, d, n))
     s = (s.reshape(-1, d) @ u.conj().T).reshape(n, n)
 
-    # X first, so each outcome effect below reads its block in place
+    # X first, so outcome x's effect <x| . |x> is the (x, x) block, read in place
     rest = lay.drop(["X_A", "X_B"])
-    s, lay = permute_to(s, lay, ("X_A", "X_B") + rest.labels)
+    s = permute_to(s, lay, ("X_A", "X_B") + rest.labels)[0].reshape(4, rest.total_dim, 4, -1)
     if variant == VARIANT_SIGMA_ON_A:
         sigma = embed(_controlled_sigma_x(), ["W_A", "A"], rest)
     else:
         sigma = embed(_controlled_sigma_x(), ["W_B", "B"], rest)
     branches = []
-    for x, bra in enumerate(np.eye(4, dtype=complex)):
-        b = bra_sandwich(s, lay, ["X_A", "X_B"], bra)
+    for x in range(4):
+        b = s[x, :, x, :]
         if x == 3:  # m = n = 1 fires the sigma_x
             b = sigma @ b @ sigma.conj().T
         b, _ = permute_to(b, rest, OUT_LAYOUT.labels + _REFERENCE.labels)

@@ -23,7 +23,7 @@ from .tensor import (
     layout,
     max_entangled_vec,
     permute_to,
-    ptrace,
+    regroup,
     shift_op,
 )
 from .channels import (
@@ -58,6 +58,17 @@ class SignalingVerdict:
     tolerance: float
 
 
+def _deviation(m: np.ndarray):
+    """(m - I_s (x) S, S) with S = Tr_s m / d_s, for m[..., s, a, s', b]: the
+    no-signaling deviation, sender inputs s first, of the verdict and the face."""
+    ds = m.shape[-4]
+    s = np.trace(m, axis1=-4, axis2=-2) / ds
+    dev = m.copy()
+    for k in range(ds):
+        dev[..., k, :, k, :] -= s
+    return dev, s
+
+
 def _factorization_deviation(
     choi: np.ndarray,
     in_layout: SystemLayout,
@@ -72,24 +83,15 @@ def _factorization_deviation(
     exactly when the sender side cannot signal, and identically when both
     subsets are empty.  Returns (deviation, S, S_layout).
     """
-    in_subset = list(in_subset)
-    out_subset = list(out_subset)
-    for l in in_subset:
-        in_layout.index(l)
-    for l in out_subset:
-        out_layout.index(l)
-    if len(set(in_subset)) != len(in_subset) or len(set(out_subset)) != len(out_subset):
-        raise TensorError("repeated labels in subset")
     full = choi_layout(out_layout, in_layout)
-    traced = [l + OUT_TAG for l in out_subset]
-    m = ptrace(choi, full, traced)
-    rem = full.drop(traced)
-    sender_tags = [l + IN_TAG for l in in_subset]
-    front = sender_tags + [l for l in rem.labels if l not in set(sender_tags)]
-    mp, play = permute_to(m, rem, front)
-    ds = play.select(sender_tags).total_dim
-    s = ptrace(mp, play, sender_tags) / ds
-    return mp - kron(np.eye(ds), s), s, play.drop(sender_tags)
+    traced = full.select(l + OUT_TAG for l in out_subset).labels  # unknown or repeated: raises
+    sender = full.select(l + IN_TAG for l in in_subset)
+    rest = full.drop(traced + sender.labels)
+    front = sender.labels + rest.labels
+    m = regroup(choi, full, [(l, 0) for l in front], [(l, 1) for l in front])
+    ds, dr = sender.total_dim, rest.total_dim
+    dev, s = _deviation(m.reshape(ds, dr, ds, dr))
+    return dev.reshape(m.shape), s, rest
 
 
 def check_nosignaling_dir(
@@ -115,8 +117,7 @@ def check_nosignaling_dir(
         out_lay = SystemLayout(s_lay.subsystems[:n_out])
         in_lay = SystemLayout(s_lay.subsystems[n_out:])
         w = eigvalsh(s, tol=MARGINAL_TOL)
-        marg = ptrace(s, s_lay, out_lay.labels)
-        tp_dev = np.max(np.abs(marg - np.eye(in_lay.total_dim)))
+        tp_dev = tp_residual(s, out_lay, in_lay)
         if w[-1] < -MARGINAL_TOL or tp_dev > MARGINAL_TOL:
             raise ChannelError(
                 f"marginal passed the factorization test but is not a channel "
@@ -201,10 +202,11 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
     if len(sender.out_layout) < 1 or len(sender.in_layout) < 1 or len(receiver.in_layout) < 2:
         raise ChannelError("sender needs the ancilla input and message output, "
                            "receiver the message and ancilla inputs")
-    n = sender.out_layout.dims[-1]
-    do, di = sender.d_out // n, sender.d_in
-    blocks = sender.choi.reshape(do, n, di, do, n, di).transpose(1, 4, 0, 2, 3, 5)
-    coherence = np.max(np.abs(blocks[~np.eye(n, dtype=bool)]), initial=0.0)
+    n, lay = sender.out_layout.dims[-1], choi_layout(sender.out_layout, sender.in_layout)
+    msg = lay.labels[len(sender.out_layout) - 1]
+    rest = [l for l in lay.labels if l != msg]  # row (x, x'): the block of message x, x'
+    blocks = regroup(sender.choi, lay, [(msg, 0), (msg, 1)], [(l, s) for s in (0, 1) for l in rest])
+    coherence = np.max(np.abs(blocks[~np.eye(n, dtype=bool).reshape(-1)]), initial=0.0)
     if coherence > CP_TOL:
         raise ChannelError(f"sender's message wire is not classical: coherence {coherence:.3e}")
     d = sender.in_layout.dims[-1]

@@ -6,6 +6,8 @@ significant.  A layout ``[(A, dA), (B, dB)]`` indexes basis states as
 """
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
@@ -52,20 +54,18 @@ class SystemLayout:
             if d < 1:
                 raise TensorError(f"subsystem {l!r} has dimension {d} < 1")
 
-    @property
+    # read on every leg-routine call, so each is computed once per layout
+    @functools.cached_property
     def labels(self) -> Tuple[str, ...]:
         return tuple(l for l, _ in self.subsystems)
 
-    @property
+    @functools.cached_property
     def dims(self) -> Tuple[int, ...]:
         return tuple(d for _, d in self.subsystems)
 
-    @property
+    @functools.cached_property
     def total_dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def __len__(self) -> int:
         return len(self.subsystems)
@@ -122,12 +122,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def _check_square(m: np.ndarray, lay: SystemLayout) -> None:
-    n = lay.total_dim
-    if m.shape != (n, n):
-        raise TensorError(f"matrix shape {m.shape} does not match layout dim {n}")
-
-
 def kron(*ms) -> np.ndarray:
     """Kronecker product; first factor is the most significant index."""
     out = np.asarray(ms[0], dtype=complex)
@@ -136,61 +130,72 @@ def kron(*ms) -> np.ndarray:
     return out
 
 
-def permute_systems(m, lay: SystemLayout, order: Sequence[int]) -> np.ndarray:
-    """Conjugate m by the unitary reordering tensor factors.
+@functools.cache
+def _plan(lay: SystemLayout, rows: tuple, cols: tuple):
+    """How `regroup` moves the legs of an operator on `lay`, worked out once per key:
+    the tensor shape (ket legs, then bra legs), the (axis1, axis2) pairs to trace
+    in turn, the transpose axes and the result shape.  Traced pairs go one at a time
+    in layout order, so a partial trace sums as it always has.  Every leg is checked here.
+    """
+    legs = rows + cols
+    named = {l for l, _ in legs}
+    lay.indices(named)  # an unknown label raises
+    if len(set(legs)) != len(legs) or set(legs) != {(l, s) for l in named for s in (0, 1)}:
+        raise TensorError(f"legs {legs} must name both legs of a label, (label, 0) "
+                          f"for its ket and (label, 1) for its bra, once each, or neither")
+    kept = [l for l in lay.labels if l in named]
+    gone = [p for p, l in enumerate(lay.labels) if l not in named]
+    # the k earlier traced pairs are already gone from the n + n axes
+    traces = tuple((p - k, p - k + len(lay) - k) for k, p in enumerate(gone))
+    axes = tuple(kept.index(l) + side * len(kept) for l, side in legs)
+    shape = tuple(math.prod(lay.dim(l) for l, _ in side) for side in (rows, cols))
+    return lay.dims * 2, traces, axes, shape
 
-    ``order[i]`` is the position in ``lay`` that ends up at slot ``i``;
-    the resulting layout is ``lay.permuted(order)``.
+
+def regroup(m, lay: SystemLayout, rows, cols) -> np.ndarray:
+    """The one routine that traces, transposes and reorders an operator's legs.
+
+    `rows` and `cols` name the result's row and column legs, most significant
+    first, as (label, side): side 0 is the ket leg, side 1 the bra leg.  A
+    label with neither leg named is traced out; one with its legs on swapped
+    sides is transposed.  An unknown or repeated leg, or a label named on one
+    side only, raises TensorError.
     """
     m = as_matrix(m)
-    _check_square(m, lay)
-    if sorted(order) != list(range(len(lay))):
-        raise TensorError(f"not a permutation of {len(lay)} positions: {order}")
-    dims = lay.dims
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    axes = list(order) + [n + i for i in order]
-    t = t.transpose(axes)
-    d = lay.total_dim
-    return np.ascontiguousarray(t.reshape(d, d))
+    if m.shape != (lay.total_dim,) * 2:
+        raise TensorError(f"matrix shape {m.shape} does not match layout dim {lay.total_dim}")
+    shape, traces, axes, out = _plan(lay, tuple(rows), tuple(cols))
+    t = m.reshape(shape)
+    for a1, a2 in traces:
+        t = np.trace(t, axis1=a1, axis2=a2)
+    return np.ascontiguousarray(t.transpose(axes).reshape(out))
 
 
 def permute_to(m, lay: SystemLayout, target_labels: Sequence[str]):
     """Reorder subsystems to the given label order; returns (matrix, layout)."""
-    order = lay.indices(target_labels)
-    if len(order) != len(lay):
+    target = tuple(target_labels)
+    if len(target) != len(lay):
         raise TensorError("target label list must cover the whole layout")
-    return permute_systems(m, lay, order), lay.permuted(order)
+    out = regroup(m, lay, [(l, 0) for l in target], [(l, 1) for l in target])
+    return out, lay.select(target)
 
 
 def ptrace(m, lay: SystemLayout, traced_labels: Iterable[str]) -> np.ndarray:
     """Partial trace over the named subsystems; remaining ones keep their order."""
-    m = as_matrix(m)
-    _check_square(m, lay)
-    gone = lay.indices(traced_labels)
-    dims = lay.dims
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    for k, pos in enumerate(sorted(gone)):
-        p = pos - k  # earlier traced axes are already gone
-        t = np.trace(t, axis1=p, axis2=p + (n - k))
-    d = lay.drop(traced_labels).total_dim
-    return np.ascontiguousarray(t.reshape(d, d))
+    gone = tuple(traced_labels)
+    keep = [l for l in lay.labels if l not in gone]
+    if len(keep) + len(gone) != len(lay):  # an unknown or repeated label
+        raise TensorError(f"cannot trace {gone} out of {lay.labels}")
+    return regroup(m, lay, [(l, 0) for l in keep], [(l, 1) for l in keep])
 
 
 def ptranspose(m, lay: SystemLayout, transposed_labels: Iterable[str]) -> np.ndarray:
     """Transpose only the named tensor factors, in the computational basis."""
-    m = as_matrix(m)
-    _check_square(m, lay)
-    flip = lay.indices(transposed_labels)
-    dims = lay.dims
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    axes = list(range(2 * n))
-    for p in flip:
-        axes[p], axes[n + p] = axes[n + p], axes[p]
-    d = lay.total_dim
-    return np.ascontiguousarray(t.transpose(axes).reshape(d, d))
+    flip = tuple(transposed_labels)
+    if len(set(flip).intersection(lay.labels)) != len(flip):  # an unknown or repeated label
+        raise TensorError(f"cannot transpose {flip} on {lay.labels}")
+    return regroup(m, lay, [(l, int(l in flip)) for l in lay.labels],
+                   [(l, int(l not in flip)) for l in lay.labels])
 
 
 def _hermitian_part(m, tol: float) -> np.ndarray:
@@ -229,24 +234,8 @@ def embed(op, op_labels: Sequence[str], lay: SystemLayout) -> np.ndarray:
         raise TensorError(f"operator shape {op.shape} does not match labels {op_labels}")
     rest = lay.drop(op_labels)
     big = kron(op, np.eye(rest.total_dim))
-    big_lay = sub.concat(rest)
-    out, _ = permute_to(big, big_lay, lay.labels)
-    return out
-
-
-def bra_sandwich(m, lay: SystemLayout, labels: Sequence[str], bra) -> np.ndarray:
-    """<bra| M |bra> on the named subsystems of an operator; reduces them away."""
-    m = as_matrix(m)
-    _check_square(m, lay)
-    bra = np.asarray(bra, dtype=complex).reshape(-1)
-    front = list(labels) + [l for l in lay.labels if l not in set(labels)]
-    mm, play = permute_to(m, lay, front)
-    db = play.select(labels).total_dim
-    dr = play.total_dim // db
-    if bra.size != db:
-        raise TensorError(f"bra length {bra.size} does not match labels {labels}")
-    half = (bra.conj() @ mm.reshape(db, -1)).reshape(dr, db, dr)  # <bra| M
-    return half.swapaxes(1, 2) @ bra
+    return regroup(big, sub.concat(rest), [(l, 0) for l in lay.labels],
+                   [(l, 1) for l in lay.labels])
 
 
 # Small operator zoo used across the package.

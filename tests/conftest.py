@@ -2,9 +2,11 @@
 `apply`, the channel's action read straight off its Choi operator,
 `choi_from_map`, which builds a Choi operator one matrix unit at a time,
 `prepare_channel`, the state-vector helpers `permute_vector` and
-`vector_bra_contract`, `gram_rank` and `face_dimension_by_basis`.  The
-package no longer uses the last five; the tests keep them as independent
-oracles."""
+`vector_bra_contract`, `gram_rank`, `face_dimension_by_basis` and
+`reference_deviation`.  The package no longer uses the last six; the tests
+keep them as independent oracles."""
+import functools
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -12,6 +14,8 @@ import pytest
 
 from nosigchan.tensor import SystemLayout, TensorError, as_matrix, eigh, kron, layout, ptrace
 from nosigchan.channels import (
+    IN_TAG,
+    OUT_TAG,
     Channel,
     ChannelError,
     channel_from_kraus,
@@ -19,7 +23,6 @@ from nosigchan.channels import (
     kraus_from_choi,
     outcome_stack,
 )
-from nosigchan.nosignal import _factorization_deviation
 from nosigchan.analysis import EXTREMALITY_REL_TOL, FaceDimension
 
 OUTCOME = "#x"
@@ -126,6 +129,55 @@ def gram_rank(ops: Sequence[np.ndarray], rel_tol: float = 1e-10) -> int:
     return int(np.sum(w > rel_tol * top))
 
 
+@functools.cache
+def _deviation_terms(in_layout, out_layout, in_subset, out_subset):
+    """The factorization deviation as explicit terms dev[dst] += w D[src].
+
+    Written leg by leg with index loops over every (ket, bra) pair of the
+    Choi layout, calling no tensor routine of the package: an entry of D
+    with equal traced legs lands at its (sender, rest) position, and on
+    the diagonal sender blocks with weight -1/d_s when its sender legs agree.
+    """
+    labels = [l + OUT_TAG for l in out_layout.labels] + [l + IN_TAG for l in in_layout.labels]
+    dims = out_layout.dims + in_layout.dims
+    traced = [labels.index(l + OUT_TAG) for l in out_subset]
+    sender = [labels.index(l + IN_TAG) for l in in_subset]
+    rest = [p for p in range(len(dims)) if p not in traced + sender]
+
+    def fold(index, positions):
+        i = 0
+        for p in positions:
+            i = i * dims[p] + index[p]
+        return i
+
+    ds = int(np.prod([dims[p] for p in sender]))
+    dr = int(np.prod([dims[p] for p in rest]))
+    side = ds * dr
+    terms = []
+    legs = [range(d) for d in dims]
+    for ket in itertools.product(*legs):
+        for bra in itertools.product(*legs):
+            if any(ket[p] != bra[p] for p in traced):
+                continue
+            src = fold(ket, range(len(dims))) * int(np.prod(dims)) + fold(bra, range(len(dims)))
+            terms.append((fold(ket, sender + rest) * side + fold(bra, sender + rest), src, 1.0))
+            if all(ket[p] == bra[p] for p in sender):
+                r, c = fold(ket, rest), fold(bra, rest)
+                for k in range(ds):
+                    terms.append(((k * dr + r) * side + k * dr + c, src, -1.0 / ds))
+    dst, src, w = (np.array(t) for t in zip(*terms))
+    return dst, src, w, side
+
+
+def reference_deviation(d, in_layout, out_layout, in_subset, out_subset):
+    """Tr_{out_subset} d - I_{in_subset} (x) S with the sender inputs first, as
+    `nosignal._factorization_deviation` lays it out, from `_deviation_terms`."""
+    dst, src, w, side = _deviation_terms(in_layout, out_layout, tuple(in_subset), tuple(out_subset))
+    out = np.zeros(side * side, dtype=complex)
+    np.add.at(out, dst, w * np.asarray(d).reshape(-1)[src])
+    return out.reshape(side, side)
+
+
 def _hermitian_basis(r: int):
     """Hilbert-Schmidt orthonormal basis of the r x r Hermitian matrices."""
     for i in range(r):
@@ -166,8 +218,8 @@ def face_dimension_by_basis(
         d = v @ x @ v.conj().T
         rows = [
             ptrace(d, lay, out_labels),
-            _factorization_deviation(d, c.in_layout, c.out_layout, a_in_labels, a_out_labels)[0],
-            _factorization_deviation(d, c.in_layout, c.out_layout, b_in_labels, b_out_labels)[0],
+            reference_deviation(d, c.in_layout, c.out_layout, a_in_labels, a_out_labels),
+            reference_deviation(d, c.in_layout, c.out_layout, b_in_labels, b_out_labels),
         ]
         flat = np.concatenate([m.reshape(-1) for m in rows])
         return np.concatenate([flat.real, flat.imag])

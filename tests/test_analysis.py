@@ -14,9 +14,9 @@ from nosigchan.channels import (
     Channel,
     channel_from_kraus,
     choi_layout,
-    compose_par,
     identity_channel,
     kraus_from_choi,
+    link,
     unitary_channel,
 )
 from nosigchan.nosignal import (
@@ -48,6 +48,7 @@ from conftest import (
     prepare_channel,
     random_cptp,
     random_density,
+    reference_deviation,
 )
 
 R_WIRES = (["A"], ["A", "W_A"], ["B"], ["W_B", "B"])
@@ -276,7 +277,7 @@ def test_r_alpha_admits_explicit_decomposition():
 def _product_isometry(rng):
     ga = random_cptp(rng, layout("A"), layout("A", "W_A"), n_kraus=1)
     gb = random_cptp(rng, layout("B"), layout("W_B", "B"), n_kraus=1)
-    return compose_par(ga, gb)
+    return link(ga, gb, ())
 
 
 def test_r_alpha_is_extreme_among_no_signaling_channels():
@@ -373,6 +374,30 @@ def test_deviation_rows_are_the_verdicts_deviation(rng):
                 d = v @ x.T @ v.conj().T
                 dev = _factorization_deviation(d, c.in_layout, c.out_layout, in_labels, out_labels)[0]
                 assert np.max(np.abs((x.reshape(-1) @ rows).reshape(dev.shape) - dev.T)) <= 1e-14
+
+
+def test_deviations_match_the_loop_reference(rng):
+    # The verdict and the face's rows share `nosignal._deviation`; the
+    # reference writes the deviation out by index loops instead.  Both are
+    # checked on D = the Choi and on a signaling D = sum_ij X_ij |K_j>><<K_i|,
+    # for each side, a two-label sender and empty subsets.
+    cases = R_WIRES[:2], R_WIRES[2:], (["A", "B"], ["W_A"]), ([], [])
+    for c in (build_r_alpha_kraus(1.0 / 6.0), random_cptp(rng, IN_LAYOUT, OUT_LAYOUT, n_kraus=5)):
+        ks = np.array(kraus_from_choi(c))
+        r = len(ks)
+        v = ks.reshape(r, -1).T
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        for in_labels, out_labels in cases:
+            rows = _deviation_rows(ks, c, in_labels, out_labels)
+            for x in (np.eye(r), g):
+                d = v @ x.T @ v.conj().T
+                wires = (c.in_layout, c.out_layout, in_labels, out_labels)
+                want = reference_deviation(d, *wires)
+                dev = _factorization_deviation(d, *wires)[0]
+                assert np.max(np.abs(dev - want)) <= 1e-14
+                if in_labels:
+                    got = (x.reshape(-1) @ rows).reshape(want.shape).T
+                    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 @st.composite

@@ -10,7 +10,6 @@ from nosigchan.channels import (
     ChannelError,
     channel_from_kraus,
     choi_layout,
-    compose_par,
     compose_seq,
     identity_channel,
     kraus_from_choi,
@@ -145,7 +144,7 @@ def test_compose_seq_dimension_check(rng):
 def test_compose_par_matches_pointwise(rng):
     a = random_cptp(rng, layout(("Ai", 2)), layout(("Ao", 3)))
     b = random_cptp(rng, layout(("Bi", 2)), layout(("Bo", 2)))
-    c = compose_par(a, b).validate()
+    c = link(a, b, ()).validate()
     assert c.in_layout.labels == ("Ai", "Bi")
     assert c.out_layout.labels == ("Ao", "Bo")
     ra, rb = random_density(rng, 2), random_density(rng, 2)
@@ -154,12 +153,10 @@ def test_compose_par_matches_pointwise(rng):
 
 def test_compose_par_with_identity_is_embedding(rng):
     a = random_cptp(rng, layout("Ai"), layout("Ao"))
-    c = compose_par(a, identity_channel(layout("B")))
+    c = link(a, identity_channel(layout("B")), ())
     rho = random_density(rng, 4)
     lay = layout("Ai", "B")
     # apply then trace out B equals applying a to the A marginal
-    from nosigchan.tensor import ptrace
-
     out = apply(c, rho)
     out_lay = layout("Ao", "B")
     assert np.allclose(
@@ -170,7 +167,7 @@ def test_compose_par_with_identity_is_embedding(rng):
 def test_compose_par_stays_parallel_when_labels_coincide(rng):
     a = random_cptp(rng, layout("X"), layout("Y"))
     b = random_cptp(rng, layout("Y"), layout(("Z", 3)))
-    c = compose_par(a, b).validate()
+    c = link(a, b, ()).validate()
     assert c.in_layout.labels == ("X", "Y")
     assert c.out_layout.labels == ("Y", "Z")
     ra, rb = random_density(rng, 2), random_density(rng, 2)

@@ -6,7 +6,6 @@ import pytest
 
 from nosigchan.tensor import (
     SystemLayout,
-    bra_sandwich,
     controlled_swap,
     embed,
     kron,
@@ -233,7 +232,8 @@ def instrument_by_matrix_units(alpha, variant):
 
         def fn(rho, bra=bra, fire=(x == 3)):
             s = e_op @ kron(rho, ancillas) @ e_op.conj().T
-            s = bra_sandwich(s, lay6, ["X_A", "X_B"], bra)
+            s = permute_to(s, lay6, ["X_A", "X_B", "A", "B", "W_A", "W_B"])[0]
+            s = kron(bra.conj().reshape(1, 4), np.eye(16)) @ s @ kron(bra.reshape(4, 1), np.eye(16))
             if fire:
                 s = sigma @ s @ sigma.conj().T
             return permute_to(s, lay4, OUT_LAYOUT.labels)[0]

@@ -21,6 +21,7 @@ from nosigchan.channels import (
     ChannelError,
     channel_from_kraus,
     identity_channel,
+    link,
     unitary_channel,
 )
 from nosigchan.nosignal import (
@@ -51,9 +52,7 @@ from conftest import (
 def test_product_channel_cannot_signal(rng):
     a = random_cptp(rng, layout("A"), layout("Ap"))
     b = random_cptp(rng, layout("B"), layout("Bp"))
-    from nosigchan.channels import compose_par
-
-    c = compose_par(a, b)
+    c = link(a, b, ())
     v = signaling_verdict(c, ["A"], ["Ap"], ["B"], ["Bp"])
     assert v.a_to_b and v.b_to_a
     assert v.residual_a <= 1e-10 and v.residual_b <= 1e-10

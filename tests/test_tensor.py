@@ -1,5 +1,6 @@
-"""Tensor-index bookkeeping: layouts, permutations, partial trace/transpose,
-eigensolver, embeddings, and the small operator zoo.
+"""Tensor-index bookkeeping: layouts, the leg routine `regroup` and the
+permutations, partial traces and transposes built on it, eigensolver,
+embeddings, and the small operator zoo.
 
 Oracles are written as independent brute-force index loops so the fast
 reshape-based implementations are checked against first principles.
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from nosigchan.tensor import (
     SystemLayout,
     TensorError,
-    bra_sandwich,
     clock_op,
     controlled_swap,
     eigh,
@@ -24,10 +24,10 @@ from nosigchan.tensor import (
     layout,
     max_entangled_vec,
     pauli,
-    permute_systems,
     permute_to,
     ptrace,
     ptranspose,
+    regroup,
     shift_op,
     swap_op,
 )
@@ -95,12 +95,13 @@ def test_kron_first_factor_most_significant():
     assert k[1 * 3 + 2, 1 * 3 + 2] == 2.0 * 30.0
 
 
-def test_permute_systems_matches_kron_reorder(rng):
+def test_permute_to_matches_kron_reorder(rng):
     mats = [random_complex(rng, d) for d in (2, 3, 2)]
     lay = layout(("A", 2), ("B", 3), ("C", 2))
     m = kron(*mats)
-    got = permute_systems(m, lay, [2, 0, 1])
+    got, play = permute_to(m, lay, ["C", "A", "B"])
     want = kron(mats[2], mats[0], mats[1])
+    assert play.labels == ("C", "A", "B")
     assert np.allclose(got, want)
 
 
@@ -189,6 +190,83 @@ def test_ptranspose_spectrum_same_for_either_side(rng):
     assert np.allclose(wa, wb)
 
 
+def test_repeated_label_is_rejected(rng):
+    lay = layout(("A", 3), ("B", 2))
+    m = random_complex(rng, 6)
+    with pytest.raises(TensorError):
+        ptrace(m, lay, ["A", "A"])
+    with pytest.raises(TensorError):
+        ptranspose(m, lay, ["A", "A"])
+    with pytest.raises(TensorError):
+        permute_to(m, lay, ["A", "A"])
+
+
+def test_regroup_rejects_bad_legs(rng):
+    lay = layout("A", "B")
+    m = random_complex(rng, 4)
+    for rows, cols in (
+        ([("Z", 0)], [("Z", 1)]),  # unknown label
+        ([("A", 0), ("A", 0)], [("A", 1)]),  # a leg named twice
+        ([("A", 0)], [("B", 1)]),  # A and B each named on one side only
+        ([("A", 2)], [("A", 1)]),  # no side 2
+    ):
+        with pytest.raises(TensorError):
+            regroup(m, lay, rows, cols)
+
+
+def brute_regroup(m, lay, rows, cols):
+    """Independent oracle for `regroup`: loops over every result entry and
+    every value of the traced labels."""
+    labels, dims = lay.labels, lay.dims
+    named = {l for l, _ in rows + cols}
+    traced = [i for i, l in enumerate(labels) if l not in named]
+
+    def fold(index, ds):
+        i = 0
+        for v, d in zip(index, ds):
+            i = i * d + v
+        return i
+
+    row_dims, col_dims = [lay.dim(l) for l, _ in rows], [lay.dim(l) for l, _ in cols]
+    out = np.zeros((int(np.prod(row_dims)), int(np.prod(col_dims))), dtype=complex)
+    for r in itertools.product(*map(range, row_dims)):
+        for c in itertools.product(*map(range, col_dims)):
+            for t in itertools.product(*[range(dims[i]) for i in traced]):
+                ket, bra = [0] * len(dims), [0] * len(dims)
+                for (l, side), v in zip(rows + cols, r + c):
+                    (bra if side else ket)[labels.index(l)] = v
+                for i, v in zip(traced, t):
+                    ket[i] = bra[i] = v
+                out[fold(r, row_dims), fold(c, col_dims)] += m[fold(ket, dims), fold(bra, dims)]
+    return out
+
+
+@st.composite
+def regroup_cases(draw):
+    """A layout of 0-4 subsystems (dims 1-3); each label traced, kept or
+    transposed; the row and column legs each in their own random order."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=0, max_size=4))
+    lay = SystemLayout(tuple((f"S{i}", d) for i, d in enumerate(dims)))
+    fate = {l: draw(st.sampled_from(["trace", "keep", "transpose"])) for l in lay.labels}
+    named = [l for l in lay.labels if fate[l] != "trace"]
+    rows = [(l, int(fate[l] == "transpose")) for l in draw(st.permutations(named))]
+    cols = [(l, int(fate[l] != "transpose")) for l in draw(st.permutations(named))]
+    return lay, rows, cols, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(regroup_cases())
+def test_regroup_matches_index_loops(case):
+    lay, rows, cols, seed = case
+    m = random_complex(np.random.default_rng(seed), lay.total_dim)
+    got, want = regroup(m, lay, rows, cols), brute_regroup(m, lay, rows, cols)
+    assert got.shape == want.shape
+    if len(rows) == len(lay):  # reorder and transpose only move entries
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # eigh
 
@@ -230,9 +308,7 @@ def test_embed_single_and_multi(rng):
     two = random_complex(rng, 4)
     # acting on (C, A) in that order
     got = embed(two, ["C", "A"], lay)
-    want = permute_systems(
-        kron(two, np.eye(3)), layout(("C", 2), ("A", 2), ("B", 3)), [1, 2, 0]
-    )
+    want, _ = permute_to(kron(two, np.eye(3)), layout(("C", 2), ("A", 2), ("B", 3)), lay.labels)
     assert np.allclose(got, want)
 
 
@@ -260,44 +336,6 @@ def test_vector_bra_contract(rng):
     assert np.allclose(got, va)  # <vb|vb> = 1
     got = vector_bra_contract(v, lay, ["A"], np.array([1, 0]))
     assert np.allclose(got, va[0] * vb)
-
-
-def test_bra_sandwich_matches_projection(rng):
-    lay = layout(("A", 2), ("B", 3))
-    m = random_complex(rng, 6)
-    bra = random_state_vec(rng, 3)
-    got = bra_sandwich(m, lay, ["B"], bra)
-    big_bra = kron(np.eye(2), bra.reshape(1, 3))
-    assert np.allclose(got, big_bra.conj() @ m @ big_bra.T)
-
-
-@st.composite
-def sandwich_cases(draw):
-    """A layout of 2-4 subsystems (dims 1-3), an ordered label subset, a seed."""
-    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
-    labels = [f"S{i}" for i in range(len(dims))]
-    order = draw(st.permutations(labels))
-    picked = order[: draw(st.integers(1, len(order)))]
-    return SystemLayout(tuple(zip(labels, dims))), picked, draw(st.integers(0, 2**32 - 1))
-
-
-@settings(max_examples=60, deadline=None)
-@given(sandwich_cases())
-def test_bra_sandwich_is_projection_after_permutation(case):
-    lay, picked, seed = case
-    rng = np.random.default_rng(seed)
-    m = random_complex(rng, lay.total_dim)
-    rest = [l for l in lay.labels if l not in picked]
-    mm, play = permute_to(m, lay, picked + rest)
-    back, back_lay = permute_to(mm, play, lay.labels)
-    assert back_lay == lay and np.array_equal(back, m)
-    db = lay.select(picked).total_dim
-    bra = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-    eye = np.eye(lay.total_dim // db)
-    want = kron(bra.conj().reshape(1, db), eye) @ mm @ kron(bra.reshape(db, 1), eye)
-    got = bra_sandwich(m, lay, picked, bra)
-    assert got.shape == want.shape
-    assert np.allclose(got, want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
