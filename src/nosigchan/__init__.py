@@ -16,7 +16,6 @@ from .channels import (
     Channel,
     ChannelError,
     channel_from_kraus,
-    compose_seq,
     identity_channel,
     kraus_from_choi,
     link,
@@ -52,8 +51,7 @@ from .analysis import (
 __all__ = [
     "SystemLayout", "TensorError", "eigh", "embed", "kron", "layout",
     "ptrace", "ptranspose", "regroup",
-    "Channel", "ChannelError", "channel_from_kraus",
-    "compose_seq", "identity_channel",
+    "Channel", "ChannelError", "channel_from_kraus", "identity_channel",
     "kraus_from_choi", "link", "outcome_stack", "unitary_channel",
     "SignalingVerdict", "build_localizable",
     "build_realization_cc", "build_semilocalizable", "check_nosignaling_dir",

@@ -103,14 +103,11 @@ def _deviation_rows(ks, c: Channel, in_labels, out_labels):
     if not sender:  # no rows: the deviation vanishes identically
         return np.empty((len(ks) ** 2, 0))
     front = sender + [l for l in lay.labels if l not in traced + sender]
-    # One (bra, ket) pair of einsum subscripts per leg; traced legs share theirs.
-    bra = {l: 2 + 2 * n for n, l in enumerate(lay.labels)}
-    ket = {l: bra[l] + (l not in traced) for l in lay.labels}
-    t = ks.reshape((len(ks),) + lay.dims)
-    m = np.einsum(
-        t.conj(), [0] + [bra[l] for l in lay.labels], t, [1] + [ket[l] for l in lay.labels],
-        [0, 1] + [bra[l] for l in front] + [ket[l] for l in front], optimize=True,
-    ).reshape(len(ks) ** 2, ds, dr, ds, dr)
+    # each Kraus vector's legs as (traced, front), so the trace is one sum over t
+    axes = (0,) + tuple(1 + p for p in lay.indices(traced + front))
+    t = ks.reshape((len(ks),) + lay.dims).transpose(axes).reshape(len(ks), -1, ds * dr)
+    m = np.einsum("itk,jtl->ijkl", t.conj(), t, optimize=True)  # one BLAS product
+    m = m.reshape(len(ks) ** 2, ds, dr, ds, dr)
     return _deviation(m)[0].reshape(len(ks) ** 2, -1)
 
 

@@ -7,7 +7,7 @@ its outcome (`outcome_stack`).
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +21,7 @@ from .tensor import (
     eigvalsh,
     max_entangled_vec,
     ptrace,
+    regroup,
 )
 
 CP_TOL = 1e-9
@@ -29,7 +30,6 @@ KRAUS_CUTOFF = 1e-12
 
 IN_TAG = "#in"
 OUT_TAG = "#out"
-_SEQ_WIRE = "#seq"
 
 
 class ChannelError(ValueError):
@@ -142,6 +142,35 @@ def unitary_channel(u, in_layout: SystemLayout, out_layout: SystemLayout = None)
     return channel_from_kraus([u], in_layout, out_layout)
 
 
+@functools.cache
+def _link_plan(out1: SystemLayout, in1: SystemLayout, out2: SystemLayout,
+               in2: SystemLayout, over: tuple):
+    """How `link` regroups its operands, worked out once per key: the tagged
+    Choi layouts and the legs that put first's wired legs last and second's
+    first, the kept legs' layout, and the result's layouts and legs."""
+    for l in over:
+        if l not in out1.labels or l not in in2.labels:
+            raise ChannelError(f"cannot link over {l!r}: not an output of first "
+                               f"and an input of second")
+        if out1.dim(l) != in2.dim(l):
+            raise ChannelError(f"cannot link over {l!r}: dimension {out1.dim(l)} vs {in2.dim(l)}")
+        if over.count(l) > 1:
+            raise ChannelError(f"cannot link over {l!r} twice")
+    out_layout = out1.drop(over).concat(out2)
+    in_layout = in1.concat(in2.drop(over))
+    lay1, lay2 = choi_layout(out1, in1), choi_layout(out2, in2)
+    wired1, wired2 = [l + OUT_TAG for l in over], [l + IN_TAG for l in over]
+    keep1, keep2 = lay1.drop(wired1), lay2.drop(wired2)
+    result = out_layout.relabel(OUT_TAG).labels + in_layout.relabel(IN_TAG).labels
+
+    def legs(labels, sides=(0, 1)):  # ket legs, then bra legs
+        return tuple((l, s) for s in sides for l in labels)
+
+    return ((lay1, legs(keep1.labels), legs(wired1)), (lay2, legs(wired2), legs(keep2.labels)),
+            (keep1.total_dim, keep2.total_dim),
+            (keep1.concat(keep2), legs(result, (0,)), legs(result, (1,))), (in_layout, out_layout))
+
+
 def link(first: Channel, second: Channel, over: Sequence[str]) -> Channel:
     """Link product: feed first's outputs named in `over` into second's inputs.
 
@@ -151,62 +180,12 @@ def link(first: Channel, second: Channel, over: Sequence[str]) -> Channel:
     first's leftover outputs then second's; inputs are first's inputs then
     second's leftover inputs.  over=() is the parallel composition.
     """
-    for l in over:
-        if l not in first.out_layout.labels or l not in second.in_layout.labels:
-            raise ChannelError(f"cannot link over {l!r}: not an output of first "
-                               f"and an input of second")
-        if first.out_layout.dim(l) != second.in_layout.dim(l):
-            raise ChannelError(
-                f"cannot link over {l!r}: dimension {first.out_layout.dim(l)} "
-                f"vs {second.in_layout.dim(l)}"
-            )
-    out_layout = first.out_layout.drop(over).concat(second.out_layout)
-    in_layout = first.in_layout.concat(second.in_layout.drop(over))
-
-    # One (ket, bra) pair of einsum subscripts per leg; wired legs share theirs.
-    ids = itertools.count()
-
-    def fresh():
-        return next(ids), next(ids)
-
-    o1 = {l: fresh() for l in first.out_layout.labels}
-    i1 = {l: fresh() for l in first.in_layout.labels}
-    o2 = {l: fresh() for l in second.out_layout.labels}
-    i2 = {l: o1[l] if l in over else fresh() for l in second.in_layout.labels}
-
-    def subscripts(legs):
-        return [k for k, _ in legs] + [b for _, b in legs]
-
-    def operand(c, outs, ins):
-        legs = [outs[l] for l in c.out_layout.labels] + [ins[l] for l in c.in_layout.labels]
-        return c.choi.reshape(2 * (c.out_layout.dims + c.in_layout.dims)), subscripts(legs)
-
-    result_legs = (
-        [o1[l] for l in first.out_layout.labels if l not in over]
-        + list(o2.values())
-        + list(i1.values())
-        + [i2[l] for l in second.in_layout.labels if l not in over]
-    )
-    choi = np.einsum(
-        *operand(first, o1, i1), *operand(second, o2, i2), subscripts(result_legs),
-        optimize=True,
-    )
-    n = out_layout.total_dim * in_layout.total_dim
-    return Channel(choi.reshape(n, n), in_layout, out_layout)
-
-
-def compose_seq(first: Channel, second: Channel) -> Channel:
-    """Choi of (second o first); first's outputs feed second's inputs in order."""
-    if first.d_out != second.d_in:
-        raise ChannelError(
-            f"cannot chain: first output dim {first.d_out} vs second input dim {second.d_in}"
-        )
-    wire = SystemLayout(((_SEQ_WIRE, first.d_out),))
-    return link(
-        Channel(first.choi, first.in_layout, wire),
-        Channel(second.choi, wire, second.out_layout),
-        [_SEQ_WIRE],
-    )
+    one, two, (a, b), three, (in_layout, out_layout) = _link_plan(
+        first.out_layout, first.in_layout, second.out_layout, second.in_layout, tuple(over))
+    # (kept1 ket, kept1 bra | kept2 ket, kept2 bra), summed over the wired legs
+    m = regroup(first.choi, *one) @ regroup(second.choi, *two)
+    m = m.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+    return Channel(regroup(m, *three), in_layout, out_layout)
 
 
 def outcome_stack(chois: Sequence[np.ndarray], d_out: int, d_in: int) -> np.ndarray:

@@ -138,6 +138,8 @@ def _plan(lay: SystemLayout, rows: tuple, cols: tuple):
     in layout order, so a partial trace sums as it always has.  Every leg is checked here.
     """
     legs = rows + cols
+    if not all(isinstance(leg, tuple) and len(leg) == 2 for leg in legs):
+        raise TensorError(f"a leg must be a (label, side) pair: {legs}")
     named = {l for l, _ in legs}
     lay.indices(named)  # an unknown label raises
     if len(set(legs)) != len(legs) or set(legs) != {(l, s) for l in named for s in (0, 1)}:
@@ -158,13 +160,16 @@ def regroup(m, lay: SystemLayout, rows, cols) -> np.ndarray:
     `rows` and `cols` name the result's row and column legs, most significant
     first, as (label, side): side 0 is the ket leg, side 1 the bra leg.  A
     label with neither leg named is traced out; one with its legs on swapped
-    sides is transposed.  An unknown or repeated leg, or a label named on one
-    side only, raises TensorError.
+    sides is transposed.  A leg that is not a (label, side) pair, an unknown or
+    repeated leg, or a label named on one side only, raises TensorError.
     """
     m = as_matrix(m)
     if m.shape != (lay.total_dim,) * 2:
         raise TensorError(f"matrix shape {m.shape} does not match layout dim {lay.total_dim}")
-    shape, traces, axes, out = _plan(lay, tuple(rows), tuple(cols))
+    try:
+        shape, traces, axes, out = _plan(lay, tuple(rows), tuple(cols))
+    except TypeError as exc:  # an unhashable leg, which the cache meets first
+        raise TensorError(f"a leg must be a (label, side) pair: rows {rows}, cols {cols}") from exc
     t = m.reshape(shape)
     for a1, a2 in traces:
         t = np.trace(t, axis1=a1, axis2=a2)

@@ -1,8 +1,12 @@
 """Channels as Choi operators: construction routes, application, composition,
 Kraus round trips, and instruments as channels with a classical outcome wire."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from nosigchan import channels
 from nosigchan.tensor import SystemLayout, kron, layout, max_entangled_vec, permute_to, ptrace
 from nosigchan.channels import (
     OUT_TAG,
@@ -10,7 +14,6 @@ from nosigchan.channels import (
     ChannelError,
     channel_from_kraus,
     choi_layout,
-    compose_seq,
     identity_channel,
     kraus_from_choi,
     link,
@@ -122,23 +125,6 @@ def test_prepare_channel(rng):
 
 # ---------------------------------------------------------------------------
 # composition
-
-
-def test_compose_seq_matches_pointwise(rng):
-    a = random_cptp(rng, layout(("I", 2)), layout(("M", 3)))
-    b = random_cptp(rng, layout(("M", 3)), layout(("O", 2)))
-    c = compose_seq(a, b).validate()
-    rho = random_density(rng, 2)
-    assert np.allclose(apply(c, rho), apply(b, apply(a, rho)))
-    assert c.in_layout.labels == ("I",)
-    assert c.out_layout.labels == ("O",)
-
-
-def test_compose_seq_dimension_check(rng):
-    a = random_cptp(rng, layout("I"), layout(("M", 3)))
-    b = random_cptp(rng, layout(("N", 2)), layout("O"))
-    with pytest.raises(ChannelError):
-        compose_seq(a, b)
 
 
 def test_compose_par_matches_pointwise(rng):
@@ -253,6 +239,68 @@ def test_link_rejects_unwired_or_mismatched_legs(rng):
         link(a, c, ["Z"])  # on neither side
     with pytest.raises(ChannelError):
         link(a, c, ["I"])  # an input of first, not an output
+    with pytest.raises(ChannelError, match="'M' twice"):
+        link(a, c, ["M", "M"])  # a leg wired twice
+
+
+@st.composite
+def link_legs(draw):
+    """(first's inputs, first's outputs, second's inputs, second's outputs, over):
+    up to two wired legs W and up to two pass-through legs on each side (first's
+    inputs I and unwired outputs P, second's unwired inputs Q and outputs O),
+    dimensions 1 to 3, with both wired orders and `over` shuffled."""
+    dim = st.integers(1, 3)
+    wired = [(f"W{k}", d) for k, d in enumerate(draw(st.lists(dim, max_size=2)))]
+    one = draw(st.lists(st.tuples(st.sampled_from("IP"), dim), max_size=2))
+    two = draw(st.lists(st.tuples(st.sampled_from("QO"), dim), max_size=2))
+    legs = [(f"{kind}{k}", d) for k, (kind, d) in enumerate(one + two)]
+
+    def kind(k):
+        return tuple(leg for leg in legs if leg[0][0] == k)
+
+    return (kind("I"), tuple(draw(st.permutations(wired + list(kind("P"))))),
+            tuple(draw(st.permutations(wired + list(kind("Q"))))), kind("O"),
+            tuple(draw(st.permutations([l for l, _ in wired]))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(link_legs(), st.integers(0, 2**32 - 1))
+# `over` in neither operand's order, wired legs between pass-through ones, a dimension-1 wire
+@example(((("I0", 2),), (("W0", 1), ("P1", 3), ("W1", 2)), (("W0", 1), ("Q2", 2), ("W1", 2)),
+          (("O3", 2),), ("W1", "W0")), 1)
+# a state feeding two wires
+@example(((), (("W1", 3), ("W0", 2), ("P0", 2)), (("W0", 2), ("Q1", 3), ("W1", 3)),
+          (("O2", 2),), ("W0", "W1")), 2)
+def test_link_matches_oracle_on_random_legs(legs, seed):
+    ins1, outs1, ins2, outs2, over = legs
+    # the matrix-unit oracle's cost grows with the pass-through dimensions
+    assume(math.prod(d for l, d in outs1 + ins2 if l not in over) <= 9)
+    rng = np.random.default_rng(seed)
+    first = random_cptp(rng, SystemLayout(ins1), SystemLayout(outs1))
+    second = random_cptp(rng, SystemLayout(ins2), SystemLayout(outs2))
+    assert_links_like_oracle(
+        first, second, over,
+        tuple(l for l, _ in ins1) + tuple(l for l, _ in ins2 if l not in over),
+        tuple(l for l, _ in outs1 if l not in over) + tuple(l for l, _ in outs2),
+    )
+
+
+def test_link_plan_is_worked_out_once_per_signature(rng, monkeypatch):
+    a = random_cptp(rng, layout("I"), layout(("M", 3), "P"))
+    b = random_cptp(rng, layout(("M", 3)), layout("O"))
+    link(a, b, ["M"])
+    before = channels._link_plan.cache_info()
+    a2 = random_cptp(rng, a.in_layout, a.out_layout)
+    got = link(a2, b, ["M"])  # same layouts and legs, other Choi
+    after = channels._link_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    for _ in range(2):  # an exception is not cached
+        with pytest.raises(ChannelError, match="'M' twice"):
+            link(a, b, ["M", "M"])
+    assert channels._link_plan.cache_info().currsize == after.currsize
+    # the uncached plan gives the same bytes
+    monkeypatch.setattr(channels, "_link_plan", channels._link_plan.__wrapped__)
+    assert np.array_equal(got.choi, link(a2, b, ["M"]).choi)
 
 
 # ---------------------------------------------------------------------------

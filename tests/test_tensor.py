@@ -212,6 +212,13 @@ def test_regroup_rejects_bad_legs(rng):
     ):
         with pytest.raises(TensorError):
             regroup(m, lay, rows, cols)
+    for rows, cols in (
+        ([["A", 0], ["B", 0]], [["A", 1], ["B", 1]]),  # lists are unhashable
+        ([("A", 0, 1), ("B", 0)], [("A", 1), ("B", 1)]),  # a triple
+        (["A", ("B", 0)], [("A", 1), ("B", 1)]),  # a bare label
+    ):
+        with pytest.raises(TensorError, match=re.escape("(label, side) pair")):
+            regroup(m, lay, rows, cols)
 
 
 def brute_regroup(m, lay, rows, cols):
