@@ -16,7 +16,6 @@ from .channels import (
     Channel,
     ChannelError,
     channel_from_kraus,
-    identity_channel,
     kraus_from_choi,
     link,
     outcome_stack,
@@ -51,8 +50,8 @@ from .analysis import (
 __all__ = [
     "SystemLayout", "TensorError", "eigh", "embed", "kron", "layout",
     "ptrace", "ptranspose", "regroup",
-    "Channel", "ChannelError", "channel_from_kraus", "identity_channel",
-    "kraus_from_choi", "link", "outcome_stack", "unitary_channel",
+    "Channel", "ChannelError", "channel_from_kraus", "kraus_from_choi",
+    "link", "outcome_stack", "unitary_channel",
     "SignalingVerdict", "build_localizable",
     "build_realization_cc", "build_semilocalizable", "check_nosignaling_dir",
     "signaling_verdict", "teleport_gadget", "teleport_realization",

@@ -19,7 +19,6 @@ from .tensor import (
     as_matrix,
     eigh,
     eigvalsh,
-    max_entangled_vec,
     ptrace,
     regroup,
 )
@@ -36,10 +35,12 @@ class ChannelError(ValueError):
     """Violated channel invariant or incompatible composition."""
 
 
+@functools.cache
 def choi_layout(out_layout: SystemLayout, in_layout: SystemLayout) -> SystemLayout:
     """Layout of the Choi operator: tagged outputs followed by tagged inputs.
 
     Tags keep labels unique even when a wire keeps its name through the channel.
+    Layouts are frozen, so it is worked out once per pair and shared.
     """
     return out_layout.relabel(OUT_TAG).concat(in_layout.relabel(IN_TAG))
 
@@ -128,12 +129,6 @@ def kraus_from_choi(c: Channel):
         if lam > KRAUS_CUTOFF:
             ks.append(np.sqrt(lam) * col.reshape(c.d_out, c.d_in))
     return ks
-
-
-def identity_channel(lay: SystemLayout) -> Channel:
-    d = lay.total_dim
-    v = max_entangled_vec(d)
-    return Channel(np.outer(v, v.conj()), lay, lay)
 
 
 def unitary_channel(u, in_layout: SystemLayout, out_layout: SystemLayout = None) -> Channel:

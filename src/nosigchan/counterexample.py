@@ -218,26 +218,32 @@ def _nielsen_filters(alpha: float):
     return m0, m1
 
 
-def _cp_map(kraus, in_layout: SystemLayout, out_layout: SystemLayout) -> Channel:
-    """Choi of rho -> sum_k K rho K†, with no trace-preservation check."""
-    vs = np.array([np.asarray(k, dtype=complex).reshape(-1) for k in kraus])
-    return Channel(vs.T @ vs.conj(), in_layout, out_layout)
+# Party p's pieces take (p, E_p), E_p = (X_p, W_p) its ancilla half, to its outputs.
+_PIECE_IN = {p: SystemLayout(((p, 2), ("E_" + p, 4))) for p in "AB"}
+_PIECE_OUT = {"A": layout("A", "W_A"), "B": layout("W_B", "B")}  # A' and B'
 
 
-def _piece(p: str, w_op, fire: bool, effects) -> Channel:
-    """One party's branch (p, E_p) -> p's outputs, E_p = (X_p, W_p): its gates
-    multiplied on (p, X_p, W_p), then one Kraus operator per X_p outcome in `effects`."""
+@functools.cache
+def _gates(p: str, fire: bool) -> np.ndarray:
+    """Party p's gate product on (p, X_p, W_p), read-only: the controlled swap,
+    then, if `fire`, sigma_x on p iff X_p and W_p are both 1.  It does not
+    depend on alpha, so it is built once per (party, fire) and process."""
     x, w = "X_" + p, "W_" + p
     lay = layout(p, x, w)
-    k = embed(controlled_swap(2), [w, p, x], lay) @ embed(w_op, [w], lay)
-    if fire:  # sigma_x on p iff X_p and W_p are both 1
-        k = embed(kron(_P0, np.eye(4)) + kron(_P1, _controlled_sigma_x()), [x, w, p], lay) @ k
-    k = k.reshape(2, 2, 2, 8)[:, effects]  # axes (p, effect on X_p, W_p, inputs)
-    if p == "A":  # A' is (A, W_A) and B' is (W_B, B)
-        k, out = k.transpose(1, 0, 2, 3), layout("A", "W_A")
-    else:
-        k, out = k.transpose(1, 2, 0, 3), layout("W_B", "B")
-    return _cp_map(k.reshape(len(effects), 4, 8), SystemLayout(((p, 2), ("E_" + p, 4))), out)
+    g = embed(controlled_swap(2), [w, p, x], lay)
+    if fire:
+        g = embed(kron(_P0, np.eye(4)) + kron(_P1, _controlled_sigma_x()), [x, w, p], lay) @ g
+    g.flags.writeable = False
+    return g
+
+
+def _branch_kraus(p: str, prod: np.ndarray) -> np.ndarray:
+    """Kraus vectors of p's pieces from gate products prod[n, (p, X_p, W_p), (p, E_p)]:
+    X_p is read off the rows, so piece n has one vector per X_p outcome e.
+    Returns v[n, e] on (p's outputs, p's inputs)."""
+    k = prod.reshape(-1, 2, 2, 2, 8)  # axes (n, p, e, W_p, inputs)
+    k = k.transpose(0, 2, 1, 3, 4) if p == "A" else k.transpose(0, 2, 3, 1, 4)
+    return k.reshape(-1, 2, 32)
 
 
 @functools.cache
@@ -245,15 +251,14 @@ def _receiver(p: str) -> Channel:
     """Party p's correction family (outcome, p, E_p) -> p's outputs, read-only.
 
     Outcome (m, k): undo filter outcome k with sigma_x^k on W_p, then p's
-    half of the circuit, firing sigma_x on p iff m = 1 and X_p, W_p are both
-    1.  It does not depend on alpha, so it is built once per party and
-    process.
+    gates, firing sigma_x on p iff m = 1 and X_p, W_p are both 1, and X_p
+    discarded.  It does not depend on alpha, so it is built once per party
+    and process.
     """
-    corrections = [_piece(p, pauli("x") if k else pauli("i"), m == 1, [0, 1])
-                   for m in range(2) for k in range(2)]
-    c0 = corrections[0]
-    receiver = Channel(outcome_stack([c.choi for c in corrections], c0.d_out, c0.d_in),
-                       _OUTCOME.concat(c0.in_layout), c0.out_layout)
+    undo = kron(np.eye(4), np.stack([pauli("i"), pauli("x")]))
+    v = _branch_kraus(p, np.concatenate([_gates(p, m == 1) @ undo for m in range(2)]))
+    receiver = Channel(outcome_stack(v.transpose(0, 2, 1) @ v.conj(), 4, 8),
+                       _OUTCOME.concat(_PIECE_IN[p]), _PIECE_OUT[p])
     receiver.choi.flags.writeable = False
     return receiver
 
@@ -268,19 +273,20 @@ def realization_spec(alpha: float, direction: str = "B_to_A") -> tuple[Channel, 
     filter outcome); the receiver applies the filtering correction and its
     half, firing sigma_x iff both computational outcomes were 1.  Direction
     "B_to_A" puts the sigma_x on the A side (the original circuit); "A_to_B"
-    is the mirrored variant.  The receiver does not depend on alpha: it is
-    built once per direction and process, shared between calls, and its
-    Choi is read-only.
+    is the mirrored variant.  The sender's four branches are one Kraus
+    operator each, read off one batched product of its cached gates with
+    the two filters.  The receiver does not depend on alpha: it is built
+    once per direction and process, shared between calls, and its Choi is
+    read-only.
     """
     alpha = _check_alpha(alpha)
     if direction not in ("A_to_B", "B_to_A"):
         raise ValueError(f"unknown direction {direction!r}")
-    m_ops = _nielsen_filters(alpha)
     snd, rcv = ("B", "A") if direction == "B_to_A" else ("A", "B")
-    branches = [_piece(snd, m_ops[k], False, [m]) for m in range(2) for k in range(2)]
-    b0 = branches[0]
-    sender = Channel(outcome_stack([b.choi for b in branches], b0.d_out, b0.d_in),
-                     b0.in_layout, b0.out_layout.concat(_OUTCOME))
+    prod = _gates(snd, False) @ kron(np.eye(4), np.stack(_nielsen_filters(alpha)))
+    v = _branch_kraus(snd, prod).transpose(1, 0, 2).reshape(4, 32)  # branch x = 2m + k
+    sender = Channel(outcome_stack(v[:, :, None] * v[:, None, :].conj(), 4, 8),
+                     _PIECE_IN[snd], _PIECE_OUT[snd].concat(_OUTCOME))
     return sender, _receiver(rcv)
 
 

@@ -152,13 +152,13 @@ def signaling_verdict(
 _EA = "#E_A"
 _EB = "#E_B"
 _RELAY = "#relay"
-_ES = "#E_sender"
 _ER = "#E_receiver"
 _MSG = "#message"
 
 
+@functools.cache
 def _renamed(lay: SystemLayout, index: int, label: str) -> SystemLayout:
-    """lay with the subsystem at position index renamed to label."""
+    """lay with the subsystem at position index renamed to label, once per key."""
     subs = list(lay.subsystems)
     subs[index] = (label, subs[index][1])
     return SystemLayout(tuple(subs))
@@ -169,22 +169,37 @@ def _rotated(lay: SystemLayout, k: int) -> SystemLayout:
     return SystemLayout(lay.subsystems[k:] + lay.subsystems[:k])
 
 
+def _fed_by_pair(g: Channel, label: str) -> Channel:
+    """link(pair, g, [g's last input]), pair the state (1/sqrt d)|I>> on that input and label.
+
+    Linking the maximally entangled pair is a leg move: g's last input becomes
+    its first output, named label, and the Choi is divided by d,
+    R[(e,c),a;(e',c'),a'] = R_g[c,(a,e);c',(a',e')] / d.
+    """
+    lay = choi_layout(g.out_layout, g.in_layout)
+    legs = lay.labels[-1:] + lay.labels[:-1]
+    d = g.in_layout.dims[-1]
+    return Channel(regroup(g.choi, lay, [(l, 0) for l in legs], [(l, 1) for l in legs]) / d,
+                   SystemLayout(g.in_layout.subsystems[:-1]),
+                   SystemLayout(((label, d),) + g.out_layout.subsystems))
+
+
 def build_localizable(g_a: Channel, g_b: Channel, d: int) -> Channel:
     """Local operations on both sides sharing a maximally entangled pair.
 
     g_a: (A systems ..., E_A) -> A outputs, g_b likewise; ancillas have
-    dimension d and sit last in each input layout (link checks both).  The
-    pieces need not be trace-preserving.  The joint input is (A systems ...,
-    B systems ...) and the joint output (A outputs ..., B outputs ...).
+    dimension d and sit last in each input layout (g_a's is checked here,
+    g_b's by link).  The pieces need not be trace-preserving.  The joint input
+    is (A systems ..., B systems ...) and the joint output (A outputs ...,
+    B outputs ...).  The pair enters g_a as a leg move (`_fed_by_pair`), so
+    one link wires it to g_b.
     """
     if not len(g_a.in_layout) or not len(g_b.in_layout):
         raise ChannelError("local piece needs at least the ancilla input")
-    phi = max_entangled_vec(d, normalized=True)
-    pair = Channel(np.outer(phi, phi.conj()), SystemLayout(()),
-                   SystemLayout(((_EA, d), (_EB, d))))
-    a = Channel(g_a.choi, _renamed(g_a.in_layout, -1, _EA), g_a.out_layout)
+    if g_a.in_layout.dims[-1] != d:
+        raise ChannelError(f"g_a's ancilla has dimension {g_a.in_layout.dims[-1]}, not d = {d}")
     b = Channel(g_b.choi, _renamed(g_b.in_layout, -1, _EB), g_b.out_layout)
-    return link(link(pair, a, [_EA]), b, [_EB])
+    return link(_fed_by_pair(g_a, _EB), b, [_EB])
 
 
 def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> Channel:
@@ -193,8 +208,9 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
     direction "A_to_B": the sender is A's instrument (A systems ..., E_A) ->
     (A outputs ..., message) and the receiver is B's family of maps
     (message, B systems ..., E_B) -> B outputs, one per message value (see
-    `channels.outcome_stack`); "B_to_A" swaps the parties.  The pair's
-    dimension is the sender's ancilla dimension; link rejects a receiver whose
+    `channels.outcome_stack`); "B_to_A" swaps the parties.  The pair, of the
+    sender's ancilla dimension, enters the sender as a leg move (`_fed_by_pair`);
+    one link then wires it to the receiver and rejects a receiver whose
     ancilla or message dimension differs.  The result has A's wires first.
     """
     if direction not in ("A_to_B", "B_to_A"):
@@ -209,15 +225,10 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
     coherence = np.max(np.abs(blocks[~np.eye(n, dtype=bool).reshape(-1)]), initial=0.0)
     if coherence > CP_TOL:
         raise ChannelError(f"sender's message wire is not classical: coherence {coherence:.3e}")
-    d = sender.in_layout.dims[-1]
-    phi = max_entangled_vec(d, normalized=True)
-    pair = Channel(np.outer(phi, phi.conj()), SystemLayout(()),
-                   SystemLayout(((_ES, d), (_ER, d))))
-    snd = Channel(sender.choi, _renamed(sender.in_layout, -1, _ES),
-                  _renamed(sender.out_layout, -1, _MSG))
+    snd = Channel(sender.choi, sender.in_layout, _renamed(sender.out_layout, -1, _MSG))
     rcv = Channel(receiver.choi, _renamed(_renamed(receiver.in_layout, 0, _MSG), -1, _ER),
                   receiver.out_layout)
-    out = link(link(pair, snd, [_ES]), rcv, [_ER, _MSG])
+    out = link(_fed_by_pair(snd, _ER), rcv, [_ER, _MSG])
     if direction == "B_to_A":  # move the sender's (B's) wires behind A's
         out_lay = _rotated(out.out_layout, len(sender.out_layout) - 1)
         in_lay = _rotated(out.in_layout, len(sender.in_layout) - 1)

@@ -1,10 +1,11 @@
 """Shared fixtures and test helpers: random channels, instruments and states,
 `apply`, the channel's action read straight off its Choi operator,
 `choi_from_map`, which builds a Choi operator one matrix unit at a time,
-`prepare_channel`, the state-vector helpers `permute_vector` and
-`vector_bra_contract`, `gram_rank`, `face_dimension_by_basis` and
-`reference_deviation`.  The package no longer uses the last six; the tests
-keep them as independent oracles."""
+`identity_channel`, `prepare_channel`, the state-vector helpers
+`permute_vector` and `vector_bra_contract`, `gram_rank`,
+`face_dimension_by_basis`, `reference_deviation` and `pair_link_oracle`.
+The package no longer uses the last seven; the tests keep them as
+independent oracles."""
 import functools
 import itertools
 from typing import Callable, Sequence
@@ -12,7 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from nosigchan.tensor import SystemLayout, TensorError, as_matrix, eigh, kron, layout, ptrace
+from nosigchan.tensor import (SystemLayout, TensorError, as_matrix, eigh, kron, layout, max_entangled_vec,
+                              ptrace)
 from nosigchan.channels import (
     IN_TAG,
     OUT_TAG,
@@ -21,6 +23,7 @@ from nosigchan.channels import (
     channel_from_kraus,
     choi_layout,
     kraus_from_choi,
+    link,
     outcome_stack,
 )
 from nosigchan.analysis import EXTREMALITY_REL_TOL, FaceDimension
@@ -229,6 +232,24 @@ def face_dimension_by_basis(
     tol = EXTREMALITY_REL_TOL * sv[0]
     kept = sv[sv > tol]
     return FaceDimension(r, r * r - kept.size, float(kept[-1]), float(tol))
+
+
+def identity_channel(lay: SystemLayout) -> Channel:
+    """The identity channel on lay: Choi |I>><<I|."""
+    v = max_entangled_vec(lay.total_dim)
+    return Channel(np.outer(v, v.conj()), lay, lay)
+
+
+def pair_link_oracle(g: Channel, label: str) -> Channel:
+    """link(pair, g, [g's last input]), the pair (1/sqrt d)|I>> on that input
+    and `label` built as a state and wired in by the link product.  The oracle
+    for `nosignal._fed_by_pair`, which moves the legs instead."""
+    d = g.in_layout.dims[-1]
+    phi = max_entangled_vec(d, normalized=True)
+    pair = Channel(np.outer(phi, phi.conj()), SystemLayout(()),
+                   SystemLayout((("#pair", d), (label, d))))
+    fed = Channel(g.choi, SystemLayout(g.in_layout.subsystems[:-1] + (("#pair", d),)), g.out_layout)
+    return link(pair, fed, ["#pair"])
 
 
 def prepare_channel(sigma, out_layout: SystemLayout, in_layout: SystemLayout) -> Channel:

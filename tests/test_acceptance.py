@@ -9,7 +9,6 @@ import numpy as np
 from nosigchan.tensor import eigh, layout, ptrace
 from nosigchan.channels import (
     channel_from_kraus,
-    identity_channel,
     kraus_from_choi,
 )
 from nosigchan.nosignal import (
@@ -32,7 +31,8 @@ from nosigchan.analysis import (
     ns_face_dimension,
     ppt_min_eig,
 )
-from conftest import random_controlled, random_cptp, random_density, random_hermitian, random_instrument
+from conftest import (identity_channel, random_controlled, random_cptp, random_density, random_hermitian,
+                      random_instrument)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

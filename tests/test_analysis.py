@@ -14,7 +14,6 @@ from nosigchan.channels import (
     Channel,
     channel_from_kraus,
     choi_layout,
-    identity_channel,
     kraus_from_choi,
     link,
     unitary_channel,
@@ -45,6 +44,7 @@ from nosigchan.analysis import (
 from conftest import (
     face_dimension_by_basis,
     gram_rank,
+    identity_channel,
     prepare_channel,
     random_cptp,
     random_density,

@@ -14,15 +14,14 @@ from nosigchan.channels import (
     ChannelError,
     channel_from_kraus,
     choi_layout,
-    identity_channel,
     kraus_from_choi,
     link,
     outcome_stack,
     tp_residual,
     unitary_channel,
 )
-from conftest import (OUTCOME, apply, choi_from_map, prepare_channel, random_cptp, random_density,
-                      random_instrument)
+from conftest import (OUTCOME, apply, choi_from_map, identity_channel, prepare_channel, random_cptp,
+                      random_density, random_instrument)
 
 
 def random_unitary(rng, n):
@@ -47,6 +46,14 @@ def test_identity_channel():
     assert np.isclose(np.trace(c.choi), 3.0)  # unnormalized convention
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
     assert np.allclose(apply(c, rho), rho)
+
+
+def test_choi_layout_is_worked_out_once_per_pair():
+    o, i = layout("A", ("M", 3)), layout("B")
+    lay = choi_layout(o, i)
+    assert lay.labels == ("A#out", "M#out", "B#in") and lay.dims == (2, 3, 2)
+    assert choi_layout(o, i) is lay
+    assert choi_layout(layout("A", ("M", 3)), layout("B")) is lay  # equal layouts, one entry
 
 
 def test_unitary_channel(rng):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import layout
-from nosigchan.channels import identity_channel
 from nosigchan.choifile import (
     ChoiFileError,
     channel_from_dict,
@@ -17,7 +16,7 @@ from nosigchan.counterexample import build_r_alpha_kraus
 from nosigchan.cli import main
 from nosigchan.nosignal import NOSIGNAL_TOL
 
-from conftest import random_cptp
+from conftest import identity_channel, random_cptp
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from nosigchan.counterexample import (
     realization_spec,
 )
 from nosigchan.counterexample import (_OUTCOME, _P0, _P1, _check_alpha, _controlled_sigma_x,
-                                      _cp_map, _nielsen_filters)
+                                      _nielsen_filters)
 from conftest import apply, choi_from_map, permute_vector, random_density, vector_bra_contract
 
 ALPHA_GRID = [0.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 1.0]
@@ -169,6 +169,16 @@ def test_realization_spec_is_well_formed():
         receiver.choi[0, 0] = 1
 
 
+def test_gate_products_are_built_once_and_read_only():
+    for p in ("A", "B"):
+        for fire in (False, True):
+            g = counterexample._gates(p, fire)
+            assert counterexample._gates(p, fire) is g
+            assert np.array_equal(g @ g.T, np.eye(8))  # a 0/1 permutation
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0] = 1
+
+
 def test_realization_direction_checked():
     with pytest.raises(ValueError):
         realization_spec(0.25, "sideways")
@@ -240,6 +250,12 @@ def instrument_by_matrix_units(alpha, variant):
 
         branches.append(choi_from_map(fn, IN_LAYOUT, OUT_LAYOUT).choi)
     return outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim)
+
+
+def _cp_map(kraus, in_layout, out_layout):
+    """Choi of rho -> sum_k K rho K†, with no trace-preservation check."""
+    vs = np.array([np.asarray(k, dtype=complex).reshape(-1) for k in kraus])
+    return Channel(vs.T @ vs.conj(), in_layout, out_layout)
 
 
 def realization_spec_by_links(alpha, direction="B_to_A"):

@@ -20,10 +20,10 @@ from nosigchan.channels import (
     Channel,
     ChannelError,
     channel_from_kraus,
-    identity_channel,
     link,
     unitary_channel,
 )
+from nosigchan.counterexample import build_r_alpha_realization
 from nosigchan.nosignal import (
     build_localizable,
     build_realization_cc,
@@ -37,6 +37,8 @@ from conftest import (
     OUTCOME,
     apply,
     choi_from_map,
+    identity_channel,
+    pair_link_oracle,
     random_controlled,
     random_cptp,
     random_density,
@@ -183,10 +185,37 @@ def test_localizable_is_nosignaling_both_ways(rng):
 
 
 def test_localizable_ancilla_dim_checked(rng):
-    ga = random_cptp(rng, layout("A", ("EA", 3)), layout("Ap"))
-    gb = random_cptp(rng, layout("B", ("EB", 2)), layout("Bp"))
-    with pytest.raises(ChannelError):
-        build_localizable(ga, gb, 3)
+    # g_b's ancilla is checked by the link, g_a's by the builder itself
+    for da, db, d in ((3, 2, 3), (2, 3, 3), (3, 3, 2)):
+        ga = random_cptp(rng, layout("A", ("EA", da)), layout("Ap"))
+        gb = random_cptp(rng, layout("B", ("EB", db)), layout("Bp"))
+        with pytest.raises(ChannelError, match="dimension"):
+            build_localizable(ga, gb, d)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pair_leg_move_equals_linking_the_pair(rng, d):
+    # an extra input before the ancilla, and two outputs
+    g = random_cptp(rng, layout("A", ("Z", 3), ("E", d)), layout("Ap", ("Aq", 3)))
+    got, want = nosignal._fed_by_pair(g, "#half"), pair_link_oracle(g, "#half")
+    assert got.in_layout == want.in_layout and got.out_layout == want.out_layout
+    assert np.max(np.abs(got.choi - want.choi)) <= 1e-15
+
+
+def test_builders_match_the_two_link_chain(rng, monkeypatch):
+    builds = []
+    for d in range(2, 7):
+        ga = random_cptp(rng, layout("A", ("EA", d)), layout("Ap"))
+        gb = random_cptp(rng, layout("B", ("EB", d)), layout("Bp", "Bq"))
+        builds.append(lambda ga=ga, gb=gb, d=d: build_localizable(ga, gb, d))
+    for direction in ("A_to_B", "B_to_A"):
+        parties = _parties(rng, direction, n=3)
+        builds.append(lambda p=parties, direction=direction: build_realization_cc(direction, *p))
+        builds.append(lambda direction=direction: build_r_alpha_realization(1 / 6, direction))
+    got = [build().choi for build in builds]
+    monkeypatch.setattr(nosignal, "_fed_by_pair", pair_link_oracle)  # link the pair instead
+    for choi, build in zip(got, builds, strict=True):
+        assert np.max(np.abs(choi - build().choi)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
