@@ -38,7 +38,7 @@ def channel_to_dict(c: Channel) -> dict:
         "format_version": FORMAT_VERSION,
         "in_dims": _layout_to_json(c.in_layout),
         "out_dims": _layout_to_json(c.out_layout),
-        "choi": [[[float(z.real), float(z.imag)] for z in row] for row in c.choi],
+        "choi": np.stack([c.choi.real, c.choi.imag], axis=-1).tolist(),
     }
 
 
@@ -79,9 +79,11 @@ def _channel_from_dict(data: dict) -> Channel:
 
 
 def save_channel(c: Channel, path) -> None:
+    """Write the file in one piece.  `json.dumps`, unlike `json.dump`, runs the
+    C encoder, and a failed serialization leaves the path untouched."""
+    text = json.dumps(channel_to_dict(c)) + "\n"
     with open(path, "w") as fh:
-        json.dump(channel_to_dict(c), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_channel(path) -> Channel:

@@ -8,7 +8,7 @@ grouped as A' = (A, W_A) and B' = (W_B, B).
 
 The family is built two independent ways.  `kraus_operators` writes the
 four Kraus operators in closed form, read off the circuit by hand.
-`circuit_instrument` reads the circuit off its Choi state, the unnormalised
+The circuit route reads the circuit off its Choi state, the unnormalised
 |I>><<I| on the inputs and a reference copy of them, tensored with the X
 and W pairs.  Every gate is a 0/1 permutation and every outcome effect a
 basis bra, so the circuit only moves entries of that state; alpha changes
@@ -16,10 +16,12 @@ the state, not where its entries go.  One density-matrix simulation per
 variant, on a state of distinct labels, finds where each entry goes: the
 two controlled swaps act once, each outcome effect on (X_A, X_B) once, and
 the sigma_x once, on outcome 11.  Each call then gathers the four branches
-from the state at alpha.  The two routes share only the layouts and the
-range check on alpha.  A third route casts the family as a strict one-round
-classical-communication realization over a maximally entangled dim-4
-ancilla pair.
+from the state at alpha.  Each branch is a Choi operator, so
+`build_r_alpha_circuit` sums them into the channel; `circuit_instrument`
+stacks them on an outcome wire instead.  The two routes share only the
+layouts and the range check on alpha.  A third route casts the family as a
+strict one-round classical-communication realization over a maximally
+entangled dim-4 ancilla pair.
 """
 from __future__ import annotations
 
@@ -36,10 +38,9 @@ from .tensor import (
     max_entangled_vec,
     pauli,
     permute_to,
-    ptrace,
 )
-from .channels import (OUT_TAG, TP_TOL, Channel, ChannelError, channel_from_kraus, choi_layout,
-                       outcome_stack, tp_residual)
+from .channels import (TP_TOL, Channel, ChannelError, channel_from_kraus, outcome_stack,
+                       tp_residual)
 from .nosignal import build_realization_cc
 
 IN_LAYOUT = layout("A", "B")
@@ -168,16 +169,10 @@ def _entry_map(variant: str) -> np.ndarray:
     return idx
 
 
-def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
-    """The measurement circuit as an instrument: outcome x = 2m + n on the last output.
-
-    The circuit's Choi state is the unnormalised |I>><<I| on a reference copy
-    (A_in, B_in) of the inputs and (A, B), tensored with the X and W pairs.
-    One labelled simulation per variant (`_entry_map`) finds where the
-    circuit moves its entries; each call then gathers the four branch Chois
-    from the state.  Entries are moved, never summed, so they equal the
-    simulation's exactly.
-    """
+def _branches(alpha: float, variant: str) -> np.ndarray:
+    """The circuit's four branch Chois, shape (4, 64, 64), outcome x = 2m + n,
+    gathered from its Choi state at alpha where `_entry_map` says.  Entries are
+    moved, never summed, so they equal the simulation's exactly."""
     alpha = _check_alpha(alpha)
     if variant not in (VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B):
         raise ValueError(f"unknown variant {variant!r}")
@@ -188,17 +183,21 @@ def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Chann
     ref = max_entangled_vec(IN_LAYOUT.total_dim)
     # entry (p, p') of the state kron(|I>><<I|, ancillas), read off the factors
     hi, lo = np.divmod(q, ancillas.shape[0])
-    branches = (np.outer(ref, ref.conj())[hi[:, :, None], hi[:, None, :]]
-                * ancillas[lo[:, :, None], lo[:, None, :]])
-    return Channel(outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim),
-                   IN_LAYOUT, OUT_LAYOUT.concat(_OUTCOME))
+    return (np.outer(ref, ref.conj())[hi[:, :, None], hi[:, None, :]]
+            * ancillas[lo[:, :, None], lo[:, None, :]])
+
+
+def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
+    """The measurement circuit as an instrument: outcome x = 2m + n on the last output,
+    its branches (`_branches`) stacked on the outcome wire."""
+    return Channel(outcome_stack(_branches(alpha, variant), OUT_LAYOUT.total_dim,
+                                 IN_LAYOUT.total_dim), IN_LAYOUT, OUT_LAYOUT.concat(_OUTCOME))
 
 
 def build_r_alpha_circuit(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
-    """Choi operator of the circuit: its instrument with the outcome traced out."""
-    ins = circuit_instrument(alpha, variant)
-    lay = choi_layout(ins.out_layout, ins.in_layout)
-    c = Channel(ptrace(ins.choi, lay, [_OUTCOME.labels[0] + OUT_TAG]), IN_LAYOUT, OUT_LAYOUT)
+    """Choi operator of the circuit: the sum of its branches, in outcome order, which is
+    the instrument with the outcome traced out, entry for entry."""
+    c = Channel(_branches(alpha, variant).sum(axis=0), IN_LAYOUT, OUT_LAYOUT)
     dev = tp_residual(c.choi, c.out_layout, c.in_layout)
     if dev > TP_TOL:
         raise ChannelError(f"circuit branches do not sum to TP: residual {dev:.3e}")

@@ -22,7 +22,6 @@ from .tensor import (
     kron,
     layout,
     max_entangled_vec,
-    permute_to,
     regroup,
     shift_op,
 )
@@ -164,8 +163,9 @@ def _renamed(lay: SystemLayout, index: int, label: str) -> SystemLayout:
     return SystemLayout(tuple(subs))
 
 
+@functools.cache
 def _rotated(lay: SystemLayout, k: int) -> SystemLayout:
-    """lay with its first k subsystems moved to the end."""
+    """lay with its first k subsystems moved to the end, once per key."""
     return SystemLayout(lay.subsystems[k:] + lay.subsystems[:k])
 
 
@@ -232,9 +232,9 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
     if direction == "B_to_A":  # move the sender's (B's) wires behind A's
         out_lay = _rotated(out.out_layout, len(sender.out_layout) - 1)
         in_lay = _rotated(out.in_layout, len(sender.in_layout) - 1)
-        choi, _ = permute_to(out.choi, choi_layout(out.out_layout, out.in_layout),
-                             choi_layout(out_lay, in_lay).labels)
-        out = Channel(choi, in_lay, out_lay)
+        legs = choi_layout(out_lay, in_lay).labels
+        out = Channel(regroup(out.choi, choi_layout(out.out_layout, out.in_layout),
+                              [(l, 0) for l in legs], [(l, 1) for l in legs]), in_lay, out_lay)
     dev = tp_residual(out.choi, out.out_layout, out.in_layout)
     if dev > REALIZATION_TP_TOL:
         raise ChannelError(f"realization is not trace-preserving: residual {dev:.3e}")

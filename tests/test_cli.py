@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import layout
+from nosigchan.channels import Channel
 from nosigchan.choifile import (
     ChoiFileError,
     channel_from_dict,
@@ -31,6 +32,38 @@ def test_round_trip_is_exact(rng, tmp_path):
     assert np.array_equal(back.choi, c.choi)  # bit-exact, not just close
     assert back.in_layout == c.in_layout
     assert back.out_layout == c.out_layout
+
+
+def save_channel_by_json_dump(c, path):
+    """The writer as it was: json.dump of one [float(re), float(im)] pair per cell,
+    which streams through json's pure-Python encoder."""
+    def dims(lay):
+        return [{"label": l, "dim": d} for l, d in lay.subsystems]
+
+    data = {
+        "format_version": 1,
+        "in_dims": dims(c.in_layout),
+        "out_dims": dims(c.out_layout),
+        "choi": [[[float(z.real), float(z.imag)] for z in row] for row in c.choi],
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+        fh.write("\n")
+
+
+def test_save_channel_writes_the_old_writers_bytes(rng, tmp_path):
+    # signed zeros, the smallest subnormal, a huge entry and a non-ASCII label
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    m[0, 0], m[1, 2] = complex(-0.0, 5e-324), complex(1e300, -0.0)
+    m[3, 3] = complex(-5e-324, -1e300)
+    c = Channel(m, layout(("Ψ_in", 2)), layout(("B", 2), ("ω", 2)))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save_channel(c, new)
+    save_channel_by_json_dump(c, old)
+    assert new.read_bytes() == old.read_bytes()
+    back = load_channel(new)
+    assert back.choi.tobytes() == c.choi.tobytes()  # exact, down to the sign of zero
+    assert back.in_layout == c.in_layout and back.out_layout == c.out_layout
 
 
 def test_serialized_dims_and_version(rng, tmp_path):

@@ -54,15 +54,17 @@ def test_pair_state():
 
 def test_alpha_range_checked():
     for bad in (-0.1, 1.1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha must lie in"):
             build_r_alpha_kraus(bad)
-        with pytest.raises(ValueError):
-            circuit_instrument(bad)
+        for route in (circuit_instrument, build_r_alpha_circuit):
+            with pytest.raises(ValueError, match=rf"alpha must lie in \[0, 1\], got {bad}$"):
+                route(bad)
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ValueError):
-        circuit_instrument(0.5, "sigma_on_C")
+    for route in (circuit_instrument, build_r_alpha_circuit):
+        with pytest.raises(ValueError, match="^unknown variant 'sigma_on_C'$"):
+            route(0.5, "sigma_on_C")
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +404,20 @@ def test_non_permutation_gate_is_rejected(variant, monkeypatch, cold_entry_map):
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     monkeypatch.setattr(counterexample, "controlled_swap",
                         lambda d: kron(hadamard, np.eye(d * d)) @ controlled_swap(d))
-    with pytest.raises(ChannelError, match="does not just move"):
-        circuit_instrument(0.3, variant)
+    for route in (circuit_instrument, build_r_alpha_circuit):
+        with pytest.raises(ChannelError, match="does not just move"):
+            route(0.3, variant)
+
+
+def test_circuit_route_builds_no_instrument(monkeypatch):
+    # the channel is the sum of the gathered branches: no outcome wire is
+    # stacked and traced back out
+    def no_instrument(*args):
+        raise AssertionError("built the instrument")
+
+    monkeypatch.setattr(counterexample, "outcome_stack", no_instrument)
+    for v in VARIANTS:
+        build_r_alpha_circuit(0.3, v).validate()
 
 
 # ---------------------------------------------------------------------------
