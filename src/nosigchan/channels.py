@@ -102,7 +102,7 @@ def channel_from_kraus(
 ) -> Channel:
     """Choi = sum_k |K_k>><<K_k| with |K>> the row-major flattening of K."""
     di, do = in_layout.total_dim, out_layout.total_dim
-    if not kraus:
+    if len(kraus) == 0:
         raise ChannelError("empty Kraus set")
     comp = np.zeros((di, di), dtype=complex)
     choi = np.zeros((do * di, do * di), dtype=complex)
@@ -142,19 +142,22 @@ def _link_plan(out1: SystemLayout, in1: SystemLayout, out2: SystemLayout,
                in2: SystemLayout, over: tuple):
     """How `link` regroups its operands, worked out once per key: the tagged
     Choi layouts and the legs that put first's wired legs last and second's
-    first, the kept legs' layout, and the result's layouts and legs."""
-    for l in over:
-        if l not in out1.labels or l not in in2.labels:
-            raise ChannelError(f"cannot link over {l!r}: not an output of first "
+    first, the kept legs' layout, and the result's layouts and legs.  `over`
+    holds (output of first, input of second) pairs."""
+    outs, ins = [o for o, _ in over], [i for _, i in over]
+    for o, i in over:
+        if o not in out1.labels or i not in in2.labels:
+            raise ChannelError(f"cannot link {o!r} into {i!r}: not an output of first "
                                f"and an input of second")
-        if out1.dim(l) != in2.dim(l):
-            raise ChannelError(f"cannot link over {l!r}: dimension {out1.dim(l)} vs {in2.dim(l)}")
-        if over.count(l) > 1:
-            raise ChannelError(f"cannot link over {l!r} twice")
-    out_layout = out1.drop(over).concat(out2)
-    in_layout = in1.concat(in2.drop(over))
+        if out1.dim(o) != in2.dim(i):
+            raise ChannelError(f"cannot link {o!r} into {i!r}: dimension {out1.dim(o)} vs {in2.dim(i)}")
+        for l, wired in ((o, outs), (i, ins)):
+            if wired.count(l) > 1:
+                raise ChannelError(f"cannot link {l!r} twice")
+    out_layout = out1.drop(outs).concat(out2)
+    in_layout = in1.concat(in2.drop(ins))
     lay1, lay2 = choi_layout(out1, in1), choi_layout(out2, in2)
-    wired1, wired2 = [l + OUT_TAG for l in over], [l + IN_TAG for l in over]
+    wired1, wired2 = [o + OUT_TAG for o in outs], [i + IN_TAG for i in ins]
     keep1, keep2 = lay1.drop(wired1), lay2.drop(wired2)
     result = out_layout.relabel(OUT_TAG).labels + in_layout.relabel(IN_TAG).labels
 
@@ -166,17 +169,24 @@ def _link_plan(out1: SystemLayout, in1: SystemLayout, out2: SystemLayout,
             (keep1.concat(keep2), legs(result, (0,)), legs(result, (1,))), (in_layout, out_layout))
 
 
-def link(first: Channel, second: Channel, over: Sequence[str]) -> Channel:
+def link(first: Channel, second: Channel, over: Sequence) -> Channel:
     """Link product: feed first's outputs named in `over` into second's inputs.
 
     R[c,a;c',a'] = sum_{b,b'} R1[b,a;b',a'] R2[c,b;c',b'] over the wired legs b
-    (Chiribella, D'Ariano, Perinotti, PRA 80, 022339 (2009)).  Legs are matched
-    by the names in `over` only; every other leg passes through.  Outputs are
-    first's leftover outputs then second's; inputs are first's inputs then
-    second's leftover inputs.  over=() is the parallel composition.
+    (Chiribella, D'Ariano, Perinotti, PRA 80, 022339 (2009)).  Each entry of
+    `over` is an (output of first, input of second) tuple or a label l, which
+    means (l, l).  Only named legs are wired.  Outputs are first's
+    leftover outputs then second's; inputs are first's inputs then second's
+    leftover inputs.  over=() is the parallel composition.
     """
+    if isinstance(over, str):
+        raise ChannelError(f"over must be a sequence of wires, not the string {over!r}")
+    pairs = tuple((w, w) if isinstance(w, str) else w for w in over)
+    for p in pairs:
+        if not (isinstance(p, tuple) and len(p) == 2 and all(isinstance(l, str) for l in p)):
+            raise ChannelError(f"cannot link over {p!r}: not a label or an (output, input) pair")
     one, two, (a, b), three, (in_layout, out_layout) = _link_plan(
-        first.out_layout, first.in_layout, second.out_layout, second.in_layout, tuple(over))
+        first.out_layout, first.in_layout, second.out_layout, second.in_layout, pairs)
     # (kept1 ket, kept1 bra | kept2 ket, kept2 bra), summed over the wired legs
     m = regroup(first.choi, *one) @ regroup(second.choi, *two)
     m = m.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)

@@ -80,7 +80,7 @@ def _factorization_deviation(
     S = Tr_{in_subset}[..]/dim(in_subset) is the unique factorization
     candidate.  The deviation has the in_subset factors first; it vanishes
     exactly when the sender side cannot signal, and identically when both
-    subsets are empty.  Returns (deviation, S, S_layout).
+    subsets are empty.  Returns (deviation, S, S's output and input layouts).
     """
     full = choi_layout(out_layout, in_layout)
     traced = full.select(l + OUT_TAG for l in out_subset).labels  # unknown or repeated: raises
@@ -90,7 +90,7 @@ def _factorization_deviation(
     m = regroup(choi, full, [(l, 0) for l in front], [(l, 1) for l in front])
     ds, dr = sender.total_dim, rest.total_dim
     dev, s = _deviation(m.reshape(ds, dr, ds, dr))
-    return dev.reshape(m.shape), s, rest
+    return dev.reshape(m.shape), s, out_layout.drop(out_subset), in_layout.drop(in_subset)
 
 
 def check_nosignaling_dir(
@@ -106,17 +106,14 @@ def check_nosignaling_dir(
     the factorization holds, the marginal S is additionally verified to be a
     well-formed channel Choi on the receiver side.
     """
-    dev, s, s_lay = _factorization_deviation(
+    dev, s, s_out, s_in = _factorization_deviation(
         c.choi, c.in_layout, c.out_layout, sender_in_labels, sender_out_labels
     )
     residual = float(np.max(np.abs(dev)))
     ok = residual <= tol
     if ok:
-        n_out = sum(1 for l in s_lay.labels if l.endswith(OUT_TAG))
-        out_lay = SystemLayout(s_lay.subsystems[:n_out])
-        in_lay = SystemLayout(s_lay.subsystems[n_out:])
         w = eigvalsh(s, tol=MARGINAL_TOL)
-        tp_dev = tp_residual(s, out_lay, in_lay)
+        tp_dev = tp_residual(s, s_out, s_in)
         if w[-1] < -MARGINAL_TOL or tp_dev > MARGINAL_TOL:
             raise ChannelError(
                 f"marginal passed the factorization test but is not a channel "
@@ -147,20 +144,10 @@ def signaling_verdict(
 # channels.outcome_stack): the sender's last output, the receiver's first input.
 
 
-# Private wire labels, so that the pieces' own labels never collide with them.
-_EA = "#E_A"
+# Private labels of wires a builder puts beside a piece's own, so they never collide.
 _EB = "#E_B"
 _RELAY = "#relay"
 _ER = "#E_receiver"
-_MSG = "#message"
-
-
-@functools.cache
-def _renamed(lay: SystemLayout, index: int, label: str) -> SystemLayout:
-    """lay with the subsystem at position index renamed to label, once per key."""
-    subs = list(lay.subsystems)
-    subs[index] = (label, subs[index][1])
-    return SystemLayout(tuple(subs))
 
 
 @functools.cache
@@ -192,14 +179,13 @@ def build_localizable(g_a: Channel, g_b: Channel, d: int) -> Channel:
     g_b's by link).  The pieces need not be trace-preserving.  The joint input
     is (A systems ..., B systems ...) and the joint output (A outputs ...,
     B outputs ...).  The pair enters g_a as a leg move (`_fed_by_pair`), so
-    one link wires it to g_b.
+    one link wires its other half into g_b's last input.
     """
     if not len(g_a.in_layout) or not len(g_b.in_layout):
         raise ChannelError("local piece needs at least the ancilla input")
     if g_a.in_layout.dims[-1] != d:
         raise ChannelError(f"g_a's ancilla has dimension {g_a.in_layout.dims[-1]}, not d = {d}")
-    b = Channel(g_b.choi, _renamed(g_b.in_layout, -1, _EB), g_b.out_layout)
-    return link(_fed_by_pair(g_a, _EB), b, [_EB])
+    return link(_fed_by_pair(g_a, _EB), g_b, [(_EB, g_b.in_layout.labels[-1])])
 
 
 def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> Channel:
@@ -209,9 +195,10 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
     (A outputs ..., message) and the receiver is B's family of maps
     (message, B systems ..., E_B) -> B outputs, one per message value (see
     `channels.outcome_stack`); "B_to_A" swaps the parties.  The pair, of the
-    sender's ancilla dimension, enters the sender as a leg move (`_fed_by_pair`);
-    one link then wires it to the receiver and rejects a receiver whose
-    ancilla or message dimension differs.  The result has A's wires first.
+    sender's ancilla dimension, enters the sender as a leg move (`_fed_by_pair`).
+    One link wires its other half into the receiver's last input and the
+    sender's last output into the receiver's first, and rejects a receiver
+    whose ancilla or message dimension differs.  A's wires come first.
     """
     if direction not in ("A_to_B", "B_to_A"):
         raise ChannelError(f"unknown direction {direction!r}")
@@ -225,10 +212,9 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
     coherence = np.max(np.abs(blocks[~np.eye(n, dtype=bool).reshape(-1)]), initial=0.0)
     if coherence > CP_TOL:
         raise ChannelError(f"sender's message wire is not classical: coherence {coherence:.3e}")
-    snd = Channel(sender.choi, sender.in_layout, _renamed(sender.out_layout, -1, _MSG))
-    rcv = Channel(receiver.choi, _renamed(_renamed(receiver.in_layout, 0, _MSG), -1, _ER),
-                  receiver.out_layout)
-    out = link(_fed_by_pair(snd, _ER), rcv, [_ER, _MSG])
+    rcv = receiver.in_layout.labels
+    out = link(_fed_by_pair(sender, _ER), receiver,
+               [(_ER, rcv[-1]), (sender.out_layout.labels[-1], rcv[0])])
     if direction == "B_to_A":  # move the sender's (B's) wires behind A's
         out_lay = _rotated(out.out_layout, len(sender.out_layout) - 1)
         in_lay = _rotated(out.in_layout, len(sender.in_layout) - 1)
@@ -252,14 +238,11 @@ def build_semilocalizable(v1: Channel, v2: Channel) -> Channel:
     """One-way quantum communication: v1 on A emits a relay system consumed by v2.
 
     v1: A -> (A outputs ..., relay), relay last; v2: (relay, B systems ...) -> B
-    outputs, relay first.  The result cannot signal from B to the A outputs.
+    outputs, relay first.  One link wires v1's last output into v2's first
+    input.  The result cannot signal from B to the A outputs.
     """
     _check_relay(v1, v2)
-    return link(
-        Channel(v1.choi, v1.in_layout, _renamed(v1.out_layout, -1, _RELAY)),
-        Channel(v2.choi, _renamed(v2.in_layout, 0, _RELAY), v2.out_layout),
-        [_RELAY],
-    )
+    return link(v1, v2, [(v1.out_layout.labels[-1], v2.in_layout.labels[0])])
 
 
 def teleport_gadget(d: int):
@@ -295,9 +278,9 @@ def _teleport_wire(e: int) -> Channel:
     relay dimension and process and shared by every caller.
     """
     bells, cors = teleport_gadget(e)
-    msg, eb, relay = layout((_MSG, e * e)), layout((_EB, e)), layout((_RELAY, e))
+    msg, eb, relay = layout(("message", e * e)), layout(("E_B", e)), layout((_RELAY, e))
     sender = Channel(outcome_stack([np.outer(b.conj(), b) for b in bells], 1, e * e),
-                     layout((_RELAY, e), (_EA, e)), msg)
+                     layout((_RELAY, e), ("E_A", e)), msg)
     receiver = Channel(outcome_stack([unitary_channel(u, eb, relay).choi for u in cors], e, e),
                        msg.concat(eb), relay)
     wire = build_realization_cc("A_to_B", sender, receiver)
@@ -310,13 +293,13 @@ def teleport_realization(v1: Channel, v2: Channel) -> Channel:
 
     The relay becomes a one-round classical-communication wire: Bell-measure
     it against half of a shared pair on the A side, send the outcome, and
-    apply the matching X^p Z^q to the other half on the B side.  v1 feeds that
-    wire and the wire feeds v2, so the result equals
+    apply the matching X^p Z^q to the other half on the B side.  One link
+    wires v1's last output into that wire and `build_semilocalizable` wires
+    the wire into v2's first input, so the result equals
     build_semilocalizable(v1, v2).  The wire depends only on the relay
     dimension, so it is built once per dimension and process; the cached
     wire is shared between calls and its Choi is read-only.
     """
     _check_relay(v1, v2)
     wire = _teleport_wire(v1.out_layout.dims[-1])
-    v1_relay = Channel(v1.choi, v1.in_layout, _renamed(v1.out_layout, -1, _RELAY))
-    return build_semilocalizable(link(v1_relay, wire, [_RELAY]), v2)
+    return build_semilocalizable(link(v1, wire, [(v1.out_layout.labels[-1], _RELAY)]), v2)

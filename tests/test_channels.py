@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nosigchan import channels
+from nosigchan.counterexample import IN_LAYOUT, OUT_LAYOUT, kraus_operators
 from nosigchan.tensor import SystemLayout, kron, layout, max_entangled_vec, permute_to, ptrace
 from nosigchan.channels import (
     OUT_TAG,
@@ -90,6 +91,17 @@ def test_channel_from_kraus_checks_completeness():
         channel_from_kraus([], layout("A"), layout("A"))
     with pytest.raises(ChannelError):
         channel_from_kraus([np.eye(3)], layout("A"), layout("A"))
+
+
+def test_channel_from_kraus_takes_a_stacked_array(rng):
+    c = random_cptp(rng, layout("I", ("J", 3)), layout(("O", 3)))
+    for ks, ins, outs in ((kraus_from_choi(c), c.in_layout, c.out_layout),
+                          (kraus_operators(0.3), IN_LAYOUT, OUT_LAYOUT)):
+        want = channel_from_kraus(list(ks), ins, outs).choi
+        assert np.array_equal(channel_from_kraus(np.array(ks), ins, outs).choi, want)
+    for empty in ([], np.empty((0, 2, 2))):
+        with pytest.raises(ChannelError, match="empty Kraus set"):
+            channel_from_kraus(empty, layout("A"), layout("A"))
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +260,42 @@ def test_link_rejects_unwired_or_mismatched_legs(rng):
         link(a, c, ["I"])  # an input of first, not an output
     with pytest.raises(ChannelError, match="'M' twice"):
         link(a, c, ["M", "M"])  # a leg wired twice
+    x = random_cptp(rng, layout("X", "Y"), layout("A", "B"))
+    y = random_cptp(rng, layout("A", "B"), layout("Z", "W"))
+    for over in ("AB", "A"):  # a string is not a sequence of labels
+        with pytest.raises(ChannelError, match="string"):
+            link(x, y, over)
+    for entry in (("A",), ("A", "B", "A"), ("A", 1), 1, None):  # not a label or two labels
+        with pytest.raises(ChannelError, match="pair"):
+            link(x, y, [entry])
+    two = random_cptp(rng, layout("I"), layout(("M", 3), ("P", 3)))
+    fed = random_cptp(rng, layout(("N", 3), ("L", 3), "K"), layout("O"))
+    for wire in (("Z", "N"), ("N", "N"),  # unknown output; an input of second, not an output
+                 ("M", "Z"), ("M", "I")):  # unknown input; an input of first, not of second
+        with pytest.raises(ChannelError, match="not an output of first and an input of second"):
+            link(two, fed, [wire])
+    with pytest.raises(ChannelError, match="dimension 3 vs 2"):
+        link(two, fed, [("M", "K")])
+    with pytest.raises(ChannelError, match="'M' twice"):  # an output wired twice
+        link(two, fed, [("M", "N"), ("M", "L")])
+    with pytest.raises(ChannelError, match="'L' twice"):  # an input wired twice
+        link(two, fed, [("M", "L"), ("P", "L")])
 
 
 @st.composite
 def link_legs(draw):
     """(first's inputs, first's outputs, second's inputs, second's outputs, over):
-    up to two wired legs W and up to two pass-through legs on each side (first's
+    up to two wired legs and up to two pass-through legs on each side (first's
     inputs I and unwired outputs P, second's unwired inputs Q and outputs O),
-    dimensions 1 to 3, with both wired orders and `over` shuffled."""
+    dimensions 1 to 3, with both wired orders and `over` shuffled.  First's
+    wired outputs are W0, W1; second names the inputs they feed at random
+    among W0, W1, V0 and V1, so a wire keeps its name, takes another or swaps
+    names with the other wire.  `over` holds the (output, input) pairs."""
     dim = st.integers(1, 3)
-    wired = [(f"W{k}", d) for k, d in enumerate(draw(st.lists(dim, max_size=2)))]
+    dims = draw(st.lists(dim, max_size=2))
+    names = draw(st.permutations(["W0", "W1", "V0", "V1"]))
+    wired = [(f"W{k}", d) for k, d in enumerate(dims)]
+    fed = [(names[k], d) for k, d in enumerate(dims)]
     one = draw(st.lists(st.tuples(st.sampled_from("IP"), dim), max_size=2))
     two = draw(st.lists(st.tuples(st.sampled_from("QO"), dim), max_size=2))
     legs = [(f"{kind}{k}", d) for k, (kind, d) in enumerate(one + two)]
@@ -266,30 +304,34 @@ def link_legs(draw):
         return tuple(leg for leg in legs if leg[0][0] == k)
 
     return (kind("I"), tuple(draw(st.permutations(wired + list(kind("P"))))),
-            tuple(draw(st.permutations(wired + list(kind("Q"))))), kind("O"),
-            tuple(draw(st.permutations([l for l, _ in wired]))))
+            tuple(draw(st.permutations(fed + list(kind("Q"))))), kind("O"),
+            tuple(draw(st.permutations([(w, f) for (w, _), (f, _) in zip(wired, fed)]))))
 
 
 @settings(max_examples=40, deadline=None)
 @given(link_legs(), st.integers(0, 2**32 - 1))
 # `over` in neither operand's order, wired legs between pass-through ones, a dimension-1 wire
 @example(((("I0", 2),), (("W0", 1), ("P1", 3), ("W1", 2)), (("W0", 1), ("Q2", 2), ("W1", 2)),
-          (("O3", 2),), ("W1", "W0")), 1)
-# a state feeding two wires
-@example(((), (("W1", 3), ("W0", 2), ("P0", 2)), (("W0", 2), ("Q1", 3), ("W1", 3)),
-          (("O2", 2),), ("W0", "W1")), 2)
+          (("O3", 2),), (("W1", "W1"), ("W0", "W0"))), 1)
+# a state feeding two wires whose names cross
+@example(((), (("W1", 3), ("W0", 2), ("P0", 2)), (("W1", 2), ("Q1", 3), ("W0", 3)),
+          (("O2", 2),), (("W0", "W1"), ("W1", "W0"))), 2)
 def test_link_matches_oracle_on_random_legs(legs, seed):
     ins1, outs1, ins2, outs2, over = legs
     # the matrix-unit oracle's cost grows with the pass-through dimensions
-    assume(math.prod(d for l, d in outs1 + ins2 if l not in over) <= 9)
+    assume(math.prod(d for l, d in outs1 + ins2 if l[0] in "PQ") <= 9)
     rng = np.random.default_rng(seed)
     first = random_cptp(rng, SystemLayout(ins1), SystemLayout(outs1))
     second = random_cptp(rng, SystemLayout(ins2), SystemLayout(outs2))
-    assert_links_like_oracle(
-        first, second, over,
-        tuple(l for l, _ in ins1) + tuple(l for l, _ in ins2 if l not in over),
-        tuple(l for l, _ in outs1 if l not in over) + tuple(l for l, _ in outs2),
-    )
+    got = link(first, second, [o if o == i else (o, i) for o, i in over])  # a label when names agree
+    assert got.in_layout.labels == tuple(l for l, _ in ins1 + ins2 if l[0] in "IQ")
+    assert got.out_layout.labels == tuple(l for l, _ in outs1 + outs2 if l[0] in "PO")
+    # the oracle wires by name: second with each wired input named as the output feeding it
+    back = {i: o for o, i in over}
+    named = Channel(second.choi, SystemLayout(tuple((back.get(l, l), d) for l, d in ins2)),
+                    second.out_layout)
+    want = link_oracle(first, named, [o for o, _ in over])
+    assert np.max(np.abs(got.choi - want.choi)) <= 1e-12
 
 
 def test_link_plan_is_worked_out_once_per_signature(rng, monkeypatch):
