@@ -19,14 +19,9 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .tensor import eigvalsh, ptranspose
-from .channels import (
-    Channel,
-    IN_TAG,
-    OUT_TAG,
-    choi_layout,
-    kraus_from_choi,
-)
-from .nosignal import NOSIGNAL_TOL, SignalingVerdict, _deviation, signaling_verdict
+from .channels import Channel, IN_TAG, choi_layout, kraus_from_choi
+from .nosignal import (NOSIGNAL_TOL, SignalingVerdict, _deviation, _sender_split,
+                       signaling_verdict)
 from . import counterexample
 
 TSIRELSON = float(2.0 * np.sqrt(2.0))
@@ -96,15 +91,11 @@ def _deviation_rows(ks, c: Channel, in_labels, out_labels):
     """Row (i, j): the deviation Tr_{out_labels} D - I_{in_labels} (x) S of
     D = |K_j>><<K_i| (`nosignal._deviation`, as in the verdict), transposed."""
     lay = choi_layout(c.out_layout, c.in_layout)
-    traced = [l + OUT_TAG for l in out_labels]
-    sender = [l + IN_TAG for l in in_labels]
-    ds = lay.select(sender).total_dim  # an unknown or repeated label raises
-    dr = lay.total_dim // (lay.select(traced).total_dim * ds)
+    traced, sender, rest, ds, dr = _sender_split(lay, in_labels, out_labels)
     if not sender:  # no rows: the deviation vanishes identically
         return np.empty((len(ks) ** 2, 0))
-    front = sender + [l for l in lay.labels if l not in traced + sender]
-    # each Kraus vector's legs as (traced, front), so the trace is one sum over t
-    axes = (0,) + tuple(1 + p for p in lay.indices(traced + front))
+    # each Kraus vector's legs as (traced, sender, rest), so the trace is one sum over t
+    axes = (0,) + tuple(1 + p for p in lay.indices(traced + sender + rest))
     t = ks.reshape((len(ks),) + lay.dims).transpose(axes).reshape(len(ks), -1, ds * dr)
     m = np.einsum("itk,jtl->ijkl", t.conj(), t, optimize=True)  # one BLAS product
     m = m.reshape(len(ks) ** 2, ds, dr, ds, dr)

@@ -44,14 +44,6 @@ def channel_to_dict(c: Channel) -> dict:
 
 def channel_from_dict(data: dict) -> Channel:
     """The channel a parsed file describes; a boolean cell entry is an error."""
-    c = _channel_from_dict(data)
-    if bool in map(type, chain.from_iterable(chain.from_iterable(data["choi"]))):
-        raise ChoiFileError("bad matrix cell: true/false is not a number")
-    return c
-
-
-def _channel_from_dict(data: dict) -> Channel:
-    """channel_from_dict without the scan for booleans (which read as 1 and 0)."""
     if not isinstance(data, dict):
         raise ChoiFileError("top level must be an object")
     version = data.get("format_version")
@@ -73,9 +65,13 @@ def _channel_from_dict(data: dict) -> Channel:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ChoiFileError(f"bad matrix cell, need [real, imag]: {exc}") from exc
     try:
-        return Channel(m, in_layout, out_layout)
+        c = Channel(m, in_layout, out_layout)
     except ChannelError as exc:
         raise ChoiFileError(str(exc)) from exc
+    # complex() reads true and false as 1 and 0
+    if bool in map(type, chain.from_iterable(chain.from_iterable(rows))):
+        raise ChoiFileError("bad matrix cell: true/false is not a number")
+    return c
 
 
 def save_channel(c: Channel, path) -> None:
@@ -89,14 +85,9 @@ def save_channel(c: Channel, path) -> None:
 def load_channel(path) -> Channel:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        data = json.loads(text)
+            data = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ChoiFileError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChoiFileError(f"not valid JSON: {exc}") from exc
-    # JSON spells a boolean only as true or false: without either word in the
-    # text, the per-number scan of channel_from_dict has nothing to find.
-    if "true" in text or "false" in text:
-        return channel_from_dict(data)
-    return _channel_from_dict(data)
+    return channel_from_dict(data)

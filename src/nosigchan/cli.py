@@ -145,7 +145,9 @@ def cmd_check(args) -> int:
         )
         return EXIT_USAGE
     report = analysis.analyze(c, a_in, a_out, b_in, b_out)
-    sys.stdout.write(_report_json({"file": args.file, "analysis": dataclasses.asdict(report)}))
+    sys.stdout.write(_report_json({"file": args.file, "sender": args.sender,
+                                   "receiver": args.receiver,
+                                   "analysis": dataclasses.asdict(report)}))
     return EXIT_OK
 
 

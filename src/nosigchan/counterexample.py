@@ -10,12 +10,13 @@ The family is built two independent ways.  `kraus_operators` writes the
 four Kraus operators in closed form, read off the circuit by hand.
 The circuit route reads the circuit off its Choi state, the unnormalised
 |I>><<I| on the inputs and a reference copy of them, tensored with the X
-and W pairs.  Every gate is a 0/1 permutation and every outcome effect a
-basis bra, so the circuit only moves entries of that state; alpha changes
-the state, not where its entries go.  One density-matrix simulation per
-variant, on a state of distinct labels, finds where each entry goes: the
-two controlled swaps act once, each outcome effect on (X_A, X_B) once, and
-the sigma_x once, on outcome 11.  Each call then gathers the four branches
+and W pairs.  The circuit's operator on that state's kets, split by the
+outcome bra on (X_A, X_B) and followed by the sigma_x on outcome 11, is
+one operator K_x per outcome, and branch x is K_x s K_x^dagger.  Every gate
+is a 0/1 permutation and every outcome effect a basis bra, so each row of
+K_x holds a single 1: the circuit only moves entries of the state, and
+alpha changes the state, not where its entries go.  Where they go is read
+off the K_x once per variant; each call then gathers the four branches
 from the state at alpha.  Each branch is a Choi operator, so
 `build_r_alpha_circuit` sums them into the channel; `circuit_instrument`
 stacks them on an outcome wire instead.  The two routes share only the
@@ -37,7 +38,7 @@ from .tensor import (
     layout,
     max_entangled_vec,
     pauli,
-    permute_to,
+    regroup,
 )
 from .channels import (TP_TOL, Channel, ChannelError, channel_from_kraus, outcome_stack,
                        tp_residual)
@@ -115,64 +116,37 @@ def build_r_alpha_kraus(alpha: float) -> Channel:
     return channel_from_kraus(kraus_operators(alpha), IN_LAYOUT, OUT_LAYOUT)
 
 
-def _simulate(state: np.ndarray, variant: str) -> np.ndarray:
-    """The circuit run on a state of _CHOI_STATE: its four branches, outcome x = 2m + n.
-
-    The reference comes first, so the circuit acts on the trailing factor.
-    Removing X with each outcome effect leaves the branch's Choi operator
-    (Choi, LAA 10, 285 (1975)), on (OUT_LAYOUT | _REFERENCE).
-    """
-    lay = _CHOI_STATE
-    # s -> (I (x) u) s (I (x) u)^dagger, with u acting on the trailing _WIRES factor
-    cs = controlled_swap(2)
-    u = embed(cs, ["W_A", "A", "X_A"], _WIRES) @ embed(cs, ["W_B", "B", "X_B"], _WIRES)
-    n, d = lay.total_dim, _WIRES.total_dim
-    s = np.matmul(u, state.reshape(-1, d, n))
-    s = (s.reshape(-1, d) @ u.conj().T).reshape(n, n)
-
-    # X first, so outcome x's effect <x| . |x> is the (x, x) block, read in place
-    rest = lay.drop(["X_A", "X_B"])
-    s = permute_to(s, lay, ("X_A", "X_B") + rest.labels)[0].reshape(4, rest.total_dim, 4, -1)
-    if variant == VARIANT_SIGMA_ON_A:
-        sigma = embed(_controlled_sigma_x(), ["W_A", "A"], rest)
-    else:
-        sigma = embed(_controlled_sigma_x(), ["W_B", "B"], rest)
-    branches = []
-    for x in range(4):
-        b = s[x, :, x, :]
-        if x == 3:  # m = n = 1 fires the sigma_x
-            b = sigma @ b @ sigma.conj().T
-        b, _ = permute_to(b, rest, OUT_LAYOUT.labels + _REFERENCE.labels)
-        branches.append(b)
-    return np.array(branches)
-
-
 @functools.cache
 def _entry_map(variant: str) -> np.ndarray:
     """Where the circuit moves the Choi-state entries: branch x is s[q[x]][:, q[x]].
 
-    Every gate is a 0/1 permutation and every outcome effect a basis bra, so
-    the circuit only moves entries, and the same permutation acts on rows
-    and columns.  One simulation on the state whose entry (i, j) holds the
-    label i n + j (n = 256, so every label is an exact float) finds q, shape
-    (4, 64), from the branch diagonals, which hold q n + q.  The whole
-    labelled output must equal that gather, or ChannelError is raised.
+    The circuit runs on the Choi state's kets (Choi, LAA 10, 285 (1975)):
+    I_ref (x) u, u the two controlled swaps, with its ket legs regrouped as
+    (X_A, X_B | OUT_LAYOUT | _REFERENCE), is four blocks, and block x, with
+    the sigma_x after it when x = 3, is outcome x's operator K_x onto the
+    branch's Choi.  The branch is K_x s K_x^dagger, so when every row of K_x
+    holds a single 1 and 0s elsewhere, its entries are entries of s, moved:
+    q[x] holds the column of each row's 1, shape (4, 64).  Any other K_x
+    raises ChannelError.
     """
-    n = _CHOI_STATE.total_dim
-    labels = np.arange(n * n, dtype=complex).reshape(n, n)
-    out = _simulate(labels, variant)
-    q = np.diagonal(out, axis1=1, axis2=2).real / (n + 1)
-    idx = q.astype(np.intp) if np.all((q == np.round(q)) & (q >= 0) & (q < n)) else None
-    if idx is None or not np.array_equal(out, labels[idx[:, :, None], idx[:, None, :]]):
+    cs = controlled_swap(2)
+    u = embed(cs, ["W_A", "A", "X_A"], _WIRES) @ embed(cs, ["W_B", "B", "X_B"], _WIRES)
+    rows = ("X_A", "X_B") + OUT_LAYOUT.labels + _REFERENCE.labels
+    k = regroup(kron(np.eye(_REFERENCE.total_dim), u), _CHOI_STATE, [(l, 0) for l in rows],
+                [(l, 1) for l in _CHOI_STATE.labels]).reshape(4, -1, _CHOI_STATE.total_dim)
+    side = ["W_A", "A"] if variant == VARIANT_SIGMA_ON_A else ["W_B", "B"]
+    k[3] = embed(_controlled_sigma_x(), side, OUT_LAYOUT.concat(_REFERENCE)) @ k[3]
+    if not (np.all((k == 0) | (k == 1)) and np.all(np.count_nonzero(k, axis=2) == 1)):
         raise ChannelError(f"circuit variant {variant!r} does not just move Choi-state entries")
-    idx.flags.writeable = False
-    return idx
+    q = np.argmax(k, axis=2)
+    q.flags.writeable = False
+    return q
 
 
 def _branches(alpha: float, variant: str) -> np.ndarray:
     """The circuit's four branch Chois, shape (4, 64, 64), outcome x = 2m + n,
     gathered from its Choi state at alpha where `_entry_map` says.  Entries are
-    moved, never summed, so they equal the simulation's exactly."""
+    moved, never summed, so each is exactly an entry of the state."""
     alpha = _check_alpha(alpha)
     if variant not in (VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B):
         raise ValueError(f"unknown variant {variant!r}")

@@ -68,6 +68,16 @@ def _deviation(m: np.ndarray):
     return dev, s
 
 
+def _sender_split(full: SystemLayout, in_subset: Sequence[str], out_subset: Sequence[str]):
+    """How a Choi on `full` splits for a sender (in_subset, out_subset): the traced
+    output legs, the sender's input legs, the rest in layout order, and the sender's
+    and the rest's dimensions.  An unknown or repeated label raises."""
+    traced = full.select(l + OUT_TAG for l in out_subset).labels
+    sender = full.select(l + IN_TAG for l in in_subset)
+    rest = full.drop(traced + sender.labels)
+    return traced, sender.labels, rest.labels, sender.total_dim, rest.total_dim
+
+
 def _factorization_deviation(
     choi: np.ndarray,
     in_layout: SystemLayout,
@@ -83,12 +93,9 @@ def _factorization_deviation(
     subsets are empty.  Returns (deviation, S, S's output and input layouts).
     """
     full = choi_layout(out_layout, in_layout)
-    traced = full.select(l + OUT_TAG for l in out_subset).labels  # unknown or repeated: raises
-    sender = full.select(l + IN_TAG for l in in_subset)
-    rest = full.drop(traced + sender.labels)
-    front = sender.labels + rest.labels
+    _, sender, rest, ds, dr = _sender_split(full, in_subset, out_subset)
+    front = sender + rest
     m = regroup(choi, full, [(l, 0) for l in front], [(l, 1) for l in front])
-    ds, dr = sender.total_dim, rest.total_dim
     dev, s = _deviation(m.reshape(ds, dr, ds, dr))
     return dev.reshape(m.shape), s, out_layout.drop(out_subset), in_layout.drop(in_subset)
 

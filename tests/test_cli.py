@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import layout
-from nosigchan.channels import Channel
+from nosigchan.channels import Channel, unitary_channel
 from nosigchan.choifile import (
     ChoiFileError,
     channel_from_dict,
@@ -330,6 +330,25 @@ def test_check_malformed_file_exits_2(capsys, tmp_path, edit):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_check_reports_which_labels_were_the_sender(capsys, tmp_path):
+    # CNOT signals both ways, so the two runs differ only in which side is
+    # which: the party fields must say so
+    cnot = np.eye(4)[:, [0, 1, 3, 2]].astype(complex)
+    p = tmp_path / "cnot.json"
+    save_channel(unitary_channel(cnot, layout("A", "B")), p)
+    reports = []
+    for sender, receiver in (("A", "B"), ("B", "A")):
+        code, out, _ = run_cli(capsys, "check", str(p), "--sender", sender,
+                               "--receiver", receiver)
+        assert code == 0
+        reports.append(json.loads(out))
+    ab, ba = reports
+    assert (ab["sender"], ab["receiver"]) == (["A"], ["B"])
+    assert (ba["sender"], ba["receiver"]) == (["B"], ["A"])
+    ns_ab, ns_ba = ab["analysis"]["nosignaling"], ba["analysis"]["nosignaling"]
+    assert (ns_ab["residual_a"], ns_ab["residual_b"]) == (ns_ba["residual_b"], ns_ba["residual_a"])
 
 
 def test_check_requires_label_partition(capsys, tmp_path):

@@ -190,8 +190,8 @@ def test_realization_direction_checked():
 # exact parity with the step-by-step simulations
 #
 # Every gate of the circuit is a 0/1 permutation, so the closed form and the
-# one-shot Choi-state simulation must reproduce these simulations entry for
-# entry, not just to a tolerance.
+# circuit route's gather must reproduce these simulations entry for entry,
+# not just to a tolerance.
 
 PARITY_ALPHAS = list(np.linspace(0.0, 1.0, 41)) + [1e-6, 1.0 / 6.0, 0.123456789, 2.0 / 3.0,
                                                    0.999999]
@@ -343,7 +343,8 @@ def test_realization_spec_equals_link_chain(direction):
 
 
 # ---------------------------------------------------------------------------
-# the entry map: one labelled simulation per variant, then a gather per call
+# the entry map: read off the circuit's ket operators once per variant, then a
+# gather per call
 
 VARIANTS = [VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B]
 MAP_ALPHAS = [0.0, 1e-6, 1.0 / 6.0, 0.5, 0.999999, 1.0]
@@ -356,13 +357,6 @@ def cold_entry_map():
     counterexample._entry_map.cache_clear()
 
 
-def choi_state(alpha):
-    """|I>><<I| on (A_in, B_in | A, B), tensored with the X and W pairs."""
-    ref = max_entangled_vec(4)
-    phi2, psi = max_entangled_vec(2, normalized=True), w_pair(alpha)
-    return kron(np.outer(ref, ref.conj()), np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_first_and_later_calls_agree(variant, cold_entry_map):
     for alpha in MAP_ALPHAS:
@@ -371,20 +365,13 @@ def test_first_and_later_calls_agree(variant, cold_entry_map):
         assert np.array_equal(circuit_instrument(alpha, variant).choi, first), alpha
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_gather_equals_simulation_on_the_choi_state(variant):
-    for alpha in MAP_ALPHAS:
-        want = outcome_stack(counterexample._simulate(choi_state(alpha), variant), 16, 4)
-        assert np.array_equal(circuit_instrument(alpha, variant).choi, want), alpha
-
-
 def test_warm_calls_do_not_simulate(monkeypatch, cold_entry_map):
     warm = {v: circuit_instrument(0.3, v).choi for v in VARIANTS}
 
-    def no_simulation(state, variant):
-        raise AssertionError("simulated after warm-up")
+    def no_gate(d):
+        raise AssertionError("derived the entry map again after warm-up")
 
-    monkeypatch.setattr(counterexample, "_simulate", no_simulation)
+    monkeypatch.setattr(counterexample, "controlled_swap", no_gate)
     for v in VARIANTS:
         assert np.array_equal(circuit_instrument(0.3, v).choi, warm[v])
         circuit_instrument(0.7, v).validate()
@@ -400,10 +387,21 @@ def test_entry_map_is_read_only():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_non_permutation_gate_is_rejected(variant, monkeypatch, cold_entry_map):
     # a Hadamard on each W wire before its controlled swap mixes entries,
-    # so no gather reproduces the labelled run
+    # so the outcome operators hold entries other than 0 and 1
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     monkeypatch.setattr(counterexample, "controlled_swap",
                         lambda d: kron(hadamard, np.eye(d * d)) @ controlled_swap(d))
+    for route in (circuit_instrument, build_r_alpha_circuit):
+        with pytest.raises(ChannelError, match="does not just move"):
+            route(0.3, variant)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_phase_gate_is_rejected(variant, monkeypatch, cold_entry_map):
+    # a sign on each W wire's 1 moves every entry as the circuit does but
+    # flips some, so the outcome operators hold -1s
+    monkeypatch.setattr(counterexample, "controlled_swap",
+                        lambda d: kron(np.diag([1, -1]), np.eye(d * d)) @ controlled_swap(d))
     for route in (circuit_instrument, build_r_alpha_circuit):
         with pytest.raises(ChannelError, match="does not just move"):
             route(0.3, variant)
