@@ -13,6 +13,7 @@ mixes the two kinds.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .tensor import eigvalsh, ptranspose
 from .channels import Channel, IN_TAG, choi_layout, kraus_from_choi
-from .nosignal import (NOSIGNAL_TOL, SignalingVerdict, _deviation, _sender_split,
+from .nosignal import (NOSIGNAL_TOL, SignalingVerdict, _deviation, _verdict_plan,
                        signaling_verdict)
 from . import counterexample
 
@@ -74,24 +75,30 @@ def chsh_value(c: Channel) -> float:
             "CHSH test needs the counterexample layout "
             f"{counterexample.OUT_LAYOUT.labels} | {counterexample.IN_LAYOUT.labels}"
         )
-    diag = np.diagonal(c.choi)
-    z = np.array([1.0, -1.0])
-    zz = z[:, None, None, None] * z  # sigma_z on the A and B outputs
+    w, diag = _chsh_weights(), np.diagonal(c.choi)
 
     def corr(n: int, m: int) -> float:
-        obs = np.zeros((2,) * 6)
-        obs[..., n, m] = zz
         # the whole 64-entry weighted vector, zeros included, in index order
-        return float(np.real(np.sum(obs.reshape(-1) * diag)))
+        return float(np.real(np.sum(w[n, m] * diag)))
 
     return abs(corr(0, 0) + corr(0, 1) + corr(1, 0) - corr(1, 1))
+
+
+@functools.cache
+def _chsh_weights() -> np.ndarray:
+    """w[n, m]: the +-1/0 weights of the correlator at inputs (n, m), read-only."""
+    z, w = np.array([1.0, -1.0]), np.zeros((2, 2) + (2,) * 6)
+    for n, m in np.ndindex(2, 2):
+        w[n, m, ..., n, m] = z[:, None, None, None] * z  # sigma_z on the A and B outputs
+    w.flags.writeable = False
+    return w.reshape(2, 2, -1)
 
 
 def _deviation_rows(ks, c: Channel, in_labels, out_labels):
     """Row (i, j): the deviation Tr_{out_labels} D - I_{in_labels} (x) S of
     D = |K_j>><<K_i| (`nosignal._deviation`, as in the verdict), transposed."""
-    lay = choi_layout(c.out_layout, c.in_layout)
-    traced, sender, rest, ds, dr = _sender_split(lay, in_labels, out_labels)
+    (lay, _, _), (ds, dr), _, (traced, sender, rest) = _verdict_plan(
+        c.in_layout, c.out_layout, tuple(in_labels), tuple(out_labels))
     if not sender:  # no rows: the deviation vanishes identically
         return np.empty((len(ks) ** 2, 0))
     # each Kraus vector's legs as (traced, sender, rest), so the trace is one sum over t

@@ -5,6 +5,9 @@ sender's outputs leaves the Choi operator of the form I_sender_in (x) S, with
 S the Choi of a channel on the receiver side alone.  The builders in this
 module produce channels from local pieces plus a shared maximally entangled
 ancilla pair, optionally with one round of classical communication.
+
+A verdict's split of the Choi's legs and the shared pair's leg move depend on
+layouts and labels alone, so each is worked out once per key, as `link`'s is.
 """
 from __future__ import annotations
 
@@ -68,14 +71,22 @@ def _deviation(m: np.ndarray):
     return dev, s
 
 
-def _sender_split(full: SystemLayout, in_subset: Sequence[str], out_subset: Sequence[str]):
-    """How a Choi on `full` splits for a sender (in_subset, out_subset): the traced
-    output legs, the sender's input legs, the rest in layout order, and the sender's
-    and the rest's dimensions.  An unknown or repeated label raises."""
+@functools.cache
+def _verdict_plan(in_layout: SystemLayout, out_layout: SystemLayout, in_subset: tuple,
+                  out_subset: tuple):
+    """How a Choi on the layouts splits for a sender, once per key: the Choi layout
+    and legs, sender inputs first, the rest in layout order, sender outputs traced;
+    the sender's and rest's dimensions; the marginal's output and input layouts;
+    the traced, sender and rest labels.  An unknown or repeated label raises."""
+    full = choi_layout(out_layout, in_layout)
     traced = full.select(l + OUT_TAG for l in out_subset).labels
     sender = full.select(l + IN_TAG for l in in_subset)
     rest = full.drop(traced + sender.labels)
-    return traced, sender.labels, rest.labels, sender.total_dim, rest.total_dim
+    front = sender.labels + rest.labels
+    return ((full, tuple((l, 0) for l in front), tuple((l, 1) for l in front)),
+            (sender.total_dim, rest.total_dim),
+            (out_layout.drop(out_subset), in_layout.drop(in_subset)),
+            (traced, sender.labels, rest.labels))
 
 
 def _factorization_deviation(
@@ -92,12 +103,11 @@ def _factorization_deviation(
     exactly when the sender side cannot signal, and identically when both
     subsets are empty.  Returns (deviation, S, S's output and input layouts).
     """
-    full = choi_layout(out_layout, in_layout)
-    _, sender, rest, ds, dr = _sender_split(full, in_subset, out_subset)
-    front = sender + rest
-    m = regroup(choi, full, [(l, 0) for l in front], [(l, 1) for l in front])
+    legs, (ds, dr), marginal, _ = _verdict_plan(in_layout, out_layout, tuple(in_subset),
+                                                tuple(out_subset))
+    m = regroup(choi, *legs)
     dev, s = _deviation(m.reshape(ds, dr, ds, dr))
-    return dev.reshape(m.shape), s, out_layout.drop(out_subset), in_layout.drop(in_subset)
+    return (dev.reshape(m.shape), s) + marginal
 
 
 def check_nosignaling_dir(
@@ -163,6 +173,17 @@ def _rotated(lay: SystemLayout, k: int) -> SystemLayout:
     return SystemLayout(lay.subsystems[k:] + lay.subsystems[:k])
 
 
+@functools.cache
+def _pair_plan(in_layout: SystemLayout, out_layout: SystemLayout, label: str):
+    """`_fed_by_pair`'s leg move, once per key: the Choi layout and legs, last input
+    first, the pair's dimension d, and the result's input and output layouts."""
+    lay = choi_layout(out_layout, in_layout)
+    legs, d = lay.labels[-1:] + lay.labels[:-1], in_layout.dims[-1]
+    return ((lay, tuple((l, 0) for l in legs), tuple((l, 1) for l in legs)), d,
+            SystemLayout(in_layout.subsystems[:-1]),
+            SystemLayout(((label, d),) + out_layout.subsystems))
+
+
 def _fed_by_pair(g: Channel, label: str) -> Channel:
     """link(pair, g, [g's last input]), pair the state (1/sqrt d)|I>> on that input and label.
 
@@ -170,12 +191,8 @@ def _fed_by_pair(g: Channel, label: str) -> Channel:
     its first output, named label, and the Choi is divided by d,
     R[(e,c),a;(e',c'),a'] = R_g[c,(a,e);c',(a',e')] / d.
     """
-    lay = choi_layout(g.out_layout, g.in_layout)
-    legs = lay.labels[-1:] + lay.labels[:-1]
-    d = g.in_layout.dims[-1]
-    return Channel(regroup(g.choi, lay, [(l, 0) for l in legs], [(l, 1) for l in legs]) / d,
-                   SystemLayout(g.in_layout.subsystems[:-1]),
-                   SystemLayout(((label, d),) + g.out_layout.subsystems))
+    legs, d, in_layout, out_layout = _pair_plan(g.in_layout, g.out_layout, label)
+    return Channel(regroup(g.choi, *legs) / d, in_layout, out_layout)
 
 
 def build_localizable(g_a: Channel, g_b: Channel, d: int) -> Channel:

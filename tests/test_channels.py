@@ -118,6 +118,21 @@ def test_kraus_round_trip(rng):
         assert np.allclose(apply(c, rho), kraus_apply(ks, rho))
 
 
+def _wire_dims(prefix):
+    dims = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ds: math.prod(ds) <= 12)
+    return dims.map(lambda ds: SystemLayout(tuple((f"{prefix}{k}", d) for k, d in enumerate(ds))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_wire_dims("I"), _wire_dims("O"), st.data(), st.integers(0, 2**32 - 1))
+def test_kraus_round_trip_on_random_layouts_and_ranks(ins, outs, data, seed):
+    di, do = ins.total_dim, outs.total_dim
+    rank = data.draw(st.integers(-(-di // do), di * do), label="Kraus rank")
+    c = random_cptp(np.random.default_rng(seed), ins, outs, n_kraus=rank)
+    back = channel_from_kraus(np.array(kraus_from_choi(c)), c.in_layout, c.out_layout)
+    assert np.max(np.abs(back.choi - c.choi)) <= 1e-12
+
+
 def test_apply_matches_kraus_action(rng):
     u = random_unitary(rng, 3)
     ks = [u @ np.diag([1, 0, 0]), u @ np.diag([0, 1, 0]), u @ np.diag([0, 0, 1])]

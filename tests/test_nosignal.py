@@ -3,6 +3,7 @@ builders: localizable, one-round classical communication, one-way quantum
 communication, and the teleportation reduction."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nosigchan import nosignal
 from nosigchan.tensor import (
@@ -115,6 +116,118 @@ def test_verdict_invariant_under_sender_input_unitary(rng):
     ok1, _ = check_nosignaling_dir(c, ["A"], ["Ap"])
     ok2, _ = check_nosignaling_dir(conj, ["A"], ["Ap"])
     assert ok1 == ok2
+
+
+_WIRES = ("P", "Q", "R", "S")
+
+
+@st.composite
+def _relabelled_channels(draw):
+    """Dimensions of 2-4 wires, each an input and an output of one party, the
+    party of each wire, a bijection of the wire names and a seed."""
+    n = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=n, max_size=n))
+    return dims, draw(st.lists(st.booleans(), min_size=n, max_size=n)), \
+        draw(st.permutations(_WIRES)), draw(st.integers(0, 2**32 - 1))
+
+
+def _verdict_on(c, names, on_a):
+    sides = [[l for l, a in zip(names, on_a) if a == side] for side in (True, False)]
+    return signaling_verdict(c, sides[0], sides[0], sides[1], sides[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled_channels())
+def test_verdict_invariant_under_wire_relabelling(case):
+    # Renamed wires reuse the old names with other dimensions and parties, so
+    # a plan keyed on the wrong thing would hand back another layout's legs.
+    dims, on_a, perm, seed = case
+    names = _WIRES[: len(dims)]
+    ins, outs = zip(*dims)
+    c = random_cptp(np.random.default_rng(seed), SystemLayout(tuple(zip(names, ins))),
+                    SystemLayout(tuple(zip(names, outs))))
+    new = [perm[_WIRES.index(l)] for l in names]
+    renamed = Channel(c.choi, SystemLayout(tuple(zip(new, c.in_layout.dims))),
+                      SystemLayout(tuple(zip(new, c.out_layout.dims))))
+    want, got = _verdict_on(c, names, on_a), _verdict_on(renamed, new, on_a)
+    assert (got.a_to_b, got.b_to_a, got.residual_a, got.residual_b) == \
+        (want.a_to_b, want.b_to_a, want.residual_a, want.residual_b)
+
+
+# ---------------------------------------------------------------------------
+# the verdict's and the pair's cached plans
+
+_LOC_SIDES = (["A"], ["Ap"], ["B"], ["Bp", "Bq"])
+
+
+def _localizable_ops(rng):
+    """(g_a, g_b, d) per d; g_b's output dimension grows with d, so the
+    localizable channel's layout, and with it the verdict's key, does too."""
+    return [(random_cptp(rng, layout("A", ("EA", d)), layout("Ap")),
+             random_cptp(rng, layout("B", ("EB", d)), layout(("Bp", d), "Bq")), d)
+            for d in range(2, 7)]
+
+
+def _localizable_op(ga, gb, d):
+    c = build_localizable(ga, gb, d)
+    return c, signaling_verdict(c, *_LOC_SIDES)
+
+
+def test_warm_verdict_and_localizable_build_no_layout(rng, monkeypatch):
+    ops = _localizable_ops(rng)
+    cold = [_localizable_op(*op) for op in ops]
+
+    def boom(self):
+        raise AssertionError(f"built a SystemLayout {self.subsystems}")
+
+    monkeypatch.setattr(SystemLayout, "__post_init__", boom)
+    for op, (c, v) in zip(ops, cold, strict=True):
+        got, w = _localizable_op(*op)
+        assert np.array_equal(got.choi, c.choi) and w == v
+
+
+def test_verdict_plan_label_errors_raise_every_call(rng):
+    c = random_cptp(rng, layout("A", "B"), layout("Ap", "Bp"))
+    for labels in ((["Z"], ["Ap"]), (["A", "A"], ["Ap"]), (["A"], ["Zp"]), (["A"], ["Ap", "Ap"])):
+        for _ in range(2):  # an exception is not cached
+            with pytest.raises(TensorError):
+                check_nosignaling_dir(c, *labels)
+
+
+def test_verdict_plan_list_and_tuple_share_one_entry(rng):
+    c = random_cptp(rng, layout("A", "B"), layout("Ap", "Bp"))
+    nosignal._verdict_plan.cache_clear()
+    want = check_nosignaling_dir(c, ["A"], ["Ap", "Bp"])
+    assert check_nosignaling_dir(c, ("A",), ("Ap", "Bp")) == want
+    info = nosignal._verdict_plan.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_plans_hold_one_entry_per_distinct_key(rng):
+    ops = _localizable_ops(rng)
+    nosignal._verdict_plan.cache_clear()
+    nosignal._pair_plan.cache_clear()
+    verdict_keys, pair_keys = set(), set()
+    for ga, gb, d in ops + ops:
+        c, _ = _localizable_op(ga, gb, d)
+        for side in (_LOC_SIDES[:2], _LOC_SIDES[2:]):
+            verdict_keys.add((c.in_layout, c.out_layout) + tuple(map(tuple, side)))
+        pair_keys.add((ga.in_layout, ga.out_layout))
+    assert len(verdict_keys) == 10 and len(pair_keys) == 5
+    assert nosignal._verdict_plan.cache_info().currsize == len(verdict_keys)
+    assert nosignal._pair_plan.cache_info().currsize == len(pair_keys)
+
+
+def test_uncached_plans_give_the_same_bytes(rng, monkeypatch):
+    ops = _localizable_ops(rng)
+    got = [_localizable_op(*op) for op in ops]
+    monkeypatch.setattr(nosignal, "_verdict_plan", nosignal._verdict_plan.__wrapped__)
+    monkeypatch.setattr(nosignal, "_pair_plan", nosignal._pair_plan.__wrapped__)
+    for op, (c, v) in zip(ops, got, strict=True):
+        want, w = _localizable_op(*op)
+        assert c.choi.tobytes() == want.choi.tobytes()
+        assert (v.residual_a, v.residual_b, v.a_to_b, v.b_to_a) == \
+            (w.residual_a, w.residual_b, w.a_to_b, w.b_to_a)
 
 
 # ---------------------------------------------------------------------------
