@@ -124,11 +124,8 @@ def kraus_from_choi(c: Channel):
     w, v = eigh(c.choi)
     if w[-1] < -CP_TOL:
         raise ChannelError(f"Choi not CP: eigenvalue {w[-1]:.3e}")
-    ks = []
-    for lam, col in zip(w, v.T):
-        if lam > KRAUS_CUTOFF:
-            ks.append(np.sqrt(lam) * col.reshape(c.d_out, c.d_in))
-    return ks
+    keep = w > KRAUS_CUTOFF
+    return list((np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, c.d_out, c.d_in))
 
 
 def unitary_channel(u, in_layout: SystemLayout, out_layout: SystemLayout = None) -> Channel:

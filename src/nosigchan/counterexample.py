@@ -16,13 +16,13 @@ one operator K_x per outcome, and branch x is K_x s K_x^dagger.  Every gate
 is a 0/1 permutation and every outcome effect a basis bra, so each row of
 K_x holds a single 1: the circuit only moves entries of the state, and
 alpha changes the state, not where its entries go.  Where they go is read
-off the K_x once per variant; each call then gathers the four branches
-from the state at alpha.  Each branch is a Choi operator, so
-`build_r_alpha_circuit` sums them into the channel; `circuit_instrument`
-stacks them on an outcome wire instead.  The two routes share only the
-layouts and the range check on alpha.  A third route casts the family as a
-strict one-round classical-communication realization over a maximally
-entangled dim-4 ancilla pair.
+off the K_x once per variant, as a flat index into the ancilla state; each
+call then gathers the four branches from that state at alpha.  Each branch
+is a Choi operator, so `build_r_alpha_circuit` sums them into the channel;
+`circuit_instrument` stacks them on an outcome wire instead.  The two
+routes share only the layouts and the range check on alpha.  A third route
+casts the family as a strict one-round classical-communication realization
+over a maximally entangled dim-4 ancilla pair.
 """
 from __future__ import annotations
 
@@ -117,7 +117,7 @@ def build_r_alpha_kraus(alpha: float) -> Channel:
 
 
 @functools.cache
-def _entry_map(variant: str) -> np.ndarray:
+def _entry_map(variant: str) -> tuple[np.ndarray, np.ndarray]:
     """Where the circuit moves the Choi-state entries: branch x is s[q[x]][:, q[x]].
 
     The circuit runs on the Choi state's kets (Choi, LAA 10, 285 (1975)):
@@ -128,6 +128,12 @@ def _entry_map(variant: str) -> np.ndarray:
     holds a single 1 and 0s elsewhere, its entries are entries of s, moved:
     q[x] holds the column of each row's 1, shape (4, 64).  Any other K_x
     raises ChannelError.
+
+    The state s is |I>><<I| on the reference copy, whose entries are 0 or 1,
+    tensored with the 16 x 16 ancilla state.  So each branch entry is an
+    ancilla entry or 0: `flat`, int32 of shape (4, 64, 64), holds its index
+    in the raveled ancilla state, and 256, one past the end, where the
+    reference factor is 0.  Returns (q, flat), both read-only.
     """
     cs = controlled_swap(2)
     u = embed(cs, ["W_A", "A", "X_A"], _WIRES) @ embed(cs, ["W_B", "B", "X_B"], _WIRES)
@@ -139,8 +145,16 @@ def _entry_map(variant: str) -> np.ndarray:
     if not (np.all((k == 0) | (k == 1)) and np.all(np.count_nonzero(k, axis=2) == 1)):
         raise ChannelError(f"circuit variant {variant!r} does not just move Choi-state entries")
     q = np.argmax(k, axis=2)
-    q.flags.writeable = False
-    return q
+    # entry (p, p') of the state is ref[hi] ref[hi'] ancillas[lo, lo'], n the ancillas' side
+    ref = max_entangled_vec(IN_LAYOUT.total_dim) != 0
+    n = _CHOI_STATE.total_dim // ref.size
+    hi, lo = np.divmod(q, n)
+    on = ref[hi]
+    flat = np.where(on[:, :, None] & on[:, None, :], lo[:, :, None] * n + lo[:, None, :],
+                    n * n).astype(np.int32)
+    for a in (q, flat):
+        a.flags.writeable = False
+    return q, flat
 
 
 def _branches(alpha: float, variant: str) -> np.ndarray:
@@ -150,15 +164,11 @@ def _branches(alpha: float, variant: str) -> np.ndarray:
     alpha = _check_alpha(alpha)
     if variant not in (VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B):
         raise ValueError(f"unknown variant {variant!r}")
-    q = _entry_map(variant)
+    _, flat = _entry_map(variant)
     phi2 = max_entangled_vec(2, normalized=True)
     psi = pair_state_vec(alpha)
     ancillas = kron(np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
-    ref = max_entangled_vec(IN_LAYOUT.total_dim)
-    # entry (p, p') of the state kron(|I>><<I|, ancillas), read off the factors
-    hi, lo = np.divmod(q, ancillas.shape[0])
-    return (np.outer(ref, ref.conj())[hi[:, :, None], hi[:, None, :]]
-            * ancillas[lo[:, :, None], lo[:, None, :]])
+    return np.append(ancillas.ravel(), 0)[flat]
 
 
 def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:

@@ -204,28 +204,35 @@ def ptranspose(m, lay: SystemLayout, transposed_labels: Iterable[str]) -> np.nda
 
 
 def _hermitian_part(m, tol: float) -> np.ndarray:
+    """(M + M†)/2 after the Hermiticity check; real when its imaginary part is
+    exactly zero, so LAPACK runs its real symmetric driver on it."""
     m = as_matrix(m)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    mh = m.conj().T
+    dev = np.max(np.abs(m - mh)) if m.size else 0.0
     if dev > tol:
         raise TensorError(f"matrix is not Hermitian: max|M - M†| = {dev:.3e}")
-    return (m + m.conj().T) / 2
+    h = (m + mh) / 2
+    return h if h.imag.any() else h.real
 
 
 def eigh(m, tol: float = HERMITICITY_TOL):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (eigenvalues, eigenvectors) with columns matching eigenvalues,
-    so that m = V @ diag(w) @ V†.
+    so that m = V @ diag(w) @ V†.  The eigenvectors are complex; a matrix
+    whose Hermitian part is exactly real gets them from the real symmetric
+    driver, so they are real-valued.
     """
     w, v = np.linalg.eigh(_hermitian_part(m, tol))
-    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
+    return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1], dtype=complex)
 
 
 def eigvalsh(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending, under `eigh`'s check.
 
     Skips the eigenvectors, which halves the cost where only the spectrum
-    is read.
+    is read.  As in `eigh`, an exactly real Hermitian part goes to the real
+    symmetric driver.
     """
     return np.linalg.eigvalsh(_hermitian_part(m, tol))[::-1].copy()
 

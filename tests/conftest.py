@@ -3,9 +3,10 @@
 `choi_from_map`, which builds a Choi operator one matrix unit at a time,
 `identity_channel`, `prepare_channel`, the state-vector helpers
 `permute_vector` and `vector_bra_contract`, `gram_rank`,
-`face_dimension_by_basis`, `reference_deviation` and `pair_link_oracle`.
-The package no longer uses the last seven; the tests keep them as
-independent oracles."""
+`face_dimension_by_basis`, `reference_deviation`, `pair_link_oracle`,
+`kraus_by_eigenpairs` and `gather_by_index_loop`.  The package does not
+use the last nine; the tests keep them as independent oracles.
+`PARITY_ALPHAS` is the alpha grid of the exact-parity tests."""
 import functools
 import itertools
 from typing import Callable, Sequence
@@ -15,8 +16,10 @@ import pytest
 
 from nosigchan.tensor import (SystemLayout, TensorError, as_matrix, eigh, kron, layout, max_entangled_vec,
                               ptrace)
+from nosigchan import counterexample
 from nosigchan.channels import (
     IN_TAG,
+    KRAUS_CUTOFF,
     OUT_TAG,
     Channel,
     ChannelError,
@@ -29,6 +32,9 @@ from nosigchan.channels import (
 from nosigchan.analysis import EXTREMALITY_REL_TOL, FaceDimension
 
 OUTCOME = "#x"
+# the 41-point grid with its ends, and points near the ends and in between
+PARITY_ALPHAS = list(np.linspace(0.0, 1.0, 41)) + [1e-6, 1.0 / 6.0, 0.123456789, 2.0 / 3.0,
+                                                   0.999999]
 
 
 @pytest.fixture
@@ -312,3 +318,40 @@ def random_controlled(
     chois = [random_cptp(rng, in_layout, out_layout).choi for _ in range(n_messages)]
     return Channel(outcome_stack(chois, out_layout.total_dim, in_layout.total_dim),
                    layout((OUTCOME, n_messages)).concat(in_layout), out_layout)
+
+
+def kraus_by_eigenpairs(c: Channel):
+    """`kraus_from_choi` one eigenpair at a time: sqrt(l)|v> reshaped to an
+    operator for each eigenvalue l > KRAUS_CUTOFF, in `eigh`'s order."""
+    w, v = eigh(c.choi)
+    ks = []
+    for lam, col in zip(w, v.T):
+        if lam > KRAUS_CUTOFF:
+            ks.append(np.sqrt(lam) * col.reshape(c.d_out, c.d_in))
+    return ks
+
+
+def gather_by_index_loop(alpha: float, variant: str) -> np.ndarray:
+    """`counterexample._branches` one entry at a time from `_entry_map`'s q:
+    branch x's entry (i, j) is the Choi state's entry (q[x, i], q[x, j]).
+
+    The state is |I>><<I| on (A_in, B_in | A, B), index h = 4 (A_in, B_in) +
+    (A, B), tensored with the 16 x 16 ancilla state.  The reference factor's
+    entry is 1 when both its indices have h // 4 == h % 4 and 0 otherwise, so
+    the state's entry is the ancilla entry or 0, never a product.
+    """
+    q, _ = counterexample._entry_map(variant)
+    phi2 = max_entangled_vec(2, normalized=True)
+    psi = counterexample.pair_state_vec(alpha)
+    ancillas = kron(np.outer(phi2, phi2.conj()), np.outer(psi, psi.conj()))
+    out = np.zeros((q.shape[0], q.shape[1], q.shape[1]), dtype=complex)
+    for x in range(q.shape[0]):
+        for i in range(q.shape[1]):
+            hi, li = divmod(int(q[x, i]), 16)
+            if hi // 4 != hi % 4:
+                continue
+            for j in range(q.shape[1]):
+                hj, lj = divmod(int(q[x, j]), 16)
+                if hj // 4 == hj % 4:
+                    out[x, i, j] = ancillas[li, lj]
+    return out

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from nosigchan import channels
-from nosigchan.counterexample import IN_LAYOUT, OUT_LAYOUT, kraus_operators
-from nosigchan.tensor import SystemLayout, kron, layout, max_entangled_vec, permute_to, ptrace
+from nosigchan.counterexample import IN_LAYOUT, OUT_LAYOUT, build_r_alpha_kraus, kraus_operators
+from nosigchan.tensor import SystemLayout, eigh, kron, layout, max_entangled_vec, permute_to, ptrace
 from nosigchan.channels import (
     OUT_TAG,
     Channel,
@@ -21,8 +21,9 @@ from nosigchan.channels import (
     tp_residual,
     unitary_channel,
 )
-from conftest import (OUTCOME, apply, choi_from_map, identity_channel, prepare_channel, random_cptp,
-                      random_density, random_instrument)
+from conftest import (OUTCOME, PARITY_ALPHAS, apply, choi_from_map, identity_channel,
+                      kraus_by_eigenpairs, prepare_channel, random_cptp, random_density,
+                      random_instrument)
 
 
 def random_unitary(rng, n):
@@ -131,6 +132,29 @@ def test_kraus_round_trip_on_random_layouts_and_ranks(ins, outs, data, seed):
     c = random_cptp(np.random.default_rng(seed), ins, outs, n_kraus=rank)
     back = channel_from_kraus(np.array(kraus_from_choi(c)), c.in_layout, c.out_layout)
     assert np.max(np.abs(back.choi - c.choi)) <= 1e-12
+
+
+def _same_kraus(got, want):
+    return len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_kraus_from_choi_equals_eigenpair_loop(rng):
+    for rank in range(1, 17):
+        c = random_cptp(rng, layout("A", "B"), layout("A", "B"), n_kraus=rank)
+        assert _same_kraus(kraus_from_choi(c), kraus_by_eigenpairs(c)), rank
+    for alpha in PARITY_ALPHAS:
+        c = build_r_alpha_kraus(alpha)
+        assert _same_kraus(kraus_from_choi(c), kraus_by_eigenpairs(c)), alpha
+
+
+def test_kraus_cutoff_is_strict():
+    # eigenvalues exactly at the cutoff and just above it: only the first is dropped
+    cut = channels.KRAUS_CUTOFF
+    c = Channel(np.diag([0.75, 0.25 - 3 * cut, cut, 2 * cut]).astype(complex), layout("I"), layout("O"))
+    assert cut in eigh(c.choi)[0]
+    ks = kraus_from_choi(c)
+    assert len(ks) == 3
+    assert _same_kraus(ks, kraus_by_eigenpairs(c))
 
 
 def test_apply_matches_kraus_action(rng):

@@ -33,7 +33,8 @@ from nosigchan.counterexample import (
 )
 from nosigchan.counterexample import (_OUTCOME, _P0, _P1, _check_alpha, _controlled_sigma_x,
                                       _nielsen_filters)
-from conftest import apply, choi_from_map, permute_vector, random_density, vector_bra_contract
+from conftest import (PARITY_ALPHAS, apply, choi_from_map, gather_by_index_loop, permute_vector,
+                      random_density, vector_bra_contract)
 
 ALPHA_GRID = [0.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -193,8 +194,6 @@ def test_realization_direction_checked():
 # circuit route's gather must reproduce these simulations entry for entry,
 # not just to a tolerance.
 
-PARITY_ALPHAS = list(np.linspace(0.0, 1.0, 41)) + [1e-6, 1.0 / 6.0, 0.123456789, 2.0 / 3.0,
-                                                   0.999999]
 P0 = np.diag([1, 0]).astype(complex)
 P1 = np.diag([0, 1]).astype(complex)
 
@@ -358,6 +357,14 @@ def cold_entry_map():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_gather_equals_index_loop(variant):
+    for alpha in PARITY_ALPHAS:
+        got, want = counterexample._branches(alpha, variant), gather_by_index_loop(alpha, variant)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), alpha
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_first_and_later_calls_agree(variant, cold_entry_map):
     for alpha in MAP_ALPHAS:
         counterexample._entry_map.cache_clear()
@@ -378,10 +385,13 @@ def test_warm_calls_do_not_simulate(monkeypatch, cold_entry_map):
 
 
 def test_entry_map_is_read_only():
-    q = counterexample._entry_map(VARIANT_SIGMA_ON_A)
+    q, flat = counterexample._entry_map(VARIANT_SIGMA_ON_A)
     assert q.shape == (4, 64)
+    assert flat.shape == (4, 64, 64) and flat.dtype == np.int32
     with pytest.raises(ValueError):
         q[0, 0] = 0
+    with pytest.raises(ValueError):
+        flat[0, 0, 0] = 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -304,6 +304,53 @@ def test_eigh_rejects_non_hermitian(rng):
         eigvalsh(m)
 
 
+def _spectral_case(kind, n, scale, seed):
+    """A Hermitian matrix stored as complex: real symmetric ("real"), real
+    symmetric with small integer entries and so degenerate spectra ("integer"),
+    or complex Hermitian ("complex")."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        g = rng.integers(-2, 3, (n, n)).astype(float)
+        return (g + g.T).astype(complex)
+    g = rng.standard_normal((n, n)) * scale
+    if kind == "complex":
+        g = g + 1j * rng.standard_normal((n, n)) * scale
+    return ((g + g.conj().T) / 2).astype(complex)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["real", "integer", "complex"]), st.integers(1, 16),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+def test_eigh_real_and_complex_paths(kind, n, scale, seed):
+    m = _spectral_case(kind, n, scale, seed)
+    tol = 1e-12 * max(1.0, np.linalg.norm(m, 2))
+    want = np.linalg.eigvalsh(m)[::-1]  # the complex driver, descending
+    w, v = eigh(m)
+    for vals in (w, eigvalsh(m)):
+        assert np.all(np.diff(vals) <= 0)  # descending
+        assert np.max(np.abs(vals - want)) <= tol
+    assert v.dtype == complex
+    assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) <= tol
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+    if kind != "complex":  # the real symmetric driver ran, bit for bit
+        w_real, v_real = np.linalg.eigh(m.real)
+        assert np.array_equal(w, w_real[::-1]) and np.array_equal(v, v_real[:, ::-1])
+        assert np.array_equal(eigvalsh(m), np.linalg.eigvalsh(m.real)[::-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_real_non_symmetric_matrix_is_rejected(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    m[0, 1] += 1.0  # ensure asymmetry
+    dev = np.max(np.abs(m - m.T))
+    message = re.escape(f"matrix is not Hermitian: max|M - M†| = {dev:.3e}")
+    for route in (eigh, eigvalsh):
+        for stored in (m, m.astype(complex)):
+            with pytest.raises(TensorError, match=f"^{message}$"):
+                route(stored)
+
+
 # ---------------------------------------------------------------------------
 # embed / vector helpers
 
