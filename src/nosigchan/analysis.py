@@ -182,12 +182,9 @@ def analyze(
     a_out_labels: Sequence[str],
     b_in_labels: Sequence[str],
     b_out_labels: Sequence[str],
-    nosignal_tol: float = NOSIGNAL_TOL,
 ) -> AnalysisReport:
     """Run every applicable verdict on a channel with the given bipartition."""
-    verdict = signaling_verdict(
-        c, a_in_labels, a_out_labels, b_in_labels, b_out_labels, tol=nosignal_tol
-    )
+    verdict = signaling_verdict(c, a_in_labels, a_out_labels, b_in_labels, b_out_labels)
     min_eig = ppt_min_eig(c)
     if _chsh_applicable(c):
         chsh = chsh_value(c)
@@ -206,7 +203,7 @@ def analyze(
         extremality_rank=rank,
         extremality_full=full,
         tolerances={
-            "nosignal_tol": nosignal_tol,
+            "nosignal_tol": NOSIGNAL_TOL,
             "ppt_tol": PPT_TOL,
             "chsh_slack": CHSH_SLACK,
             "extremality_rel_tol": EXTREMALITY_REL_TOL,

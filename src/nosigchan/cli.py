@@ -38,13 +38,6 @@ def _alpha_arg(text: str) -> float:
     return value
 
 
-def _tol_arg(text: str) -> float:
-    value = _number_arg(text)
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {value}")
-    return value
-
-
 def _labels_arg(text: str):
     labels = [l.strip() for l in text.split(",") if l.strip()]
     if not labels:
@@ -64,7 +57,6 @@ def _split_party(c, labels):
 
 def cmd_reproduce(args) -> int:
     alpha = args.alpha
-    tol = args.tol
     c_kraus = counterexample.build_r_alpha_kraus(alpha)
     c_circ_a = counterexample.build_r_alpha_circuit(
         alpha, counterexample.VARIANT_SIGMA_ON_A
@@ -80,11 +72,10 @@ def cmd_reproduce(args) -> int:
         a_out_labels=["A", "W_A"],
         b_in_labels=["B"],
         b_out_labels=["W_B", "B"],
-        nosignal_tol=tol,
     )
     checks = [
-        ("construction equivalence (Kraus vs circuit)", res_kraus_circ <= tol),
-        ("construction equivalence (circuit variants)", res_variants <= tol),
+        ("construction equivalence (Kraus vs circuit)", res_kraus_circ <= NOSIGNAL_TOL),
+        ("construction equivalence (circuit variants)", res_variants <= NOSIGNAL_TOL),
         ("no-signaling A side", report.nosignaling.a_to_b),
         ("no-signaling B side", report.nosignaling.b_to_a),
         ("PPT violated", report.ppt_violated),
@@ -96,7 +87,7 @@ def cmd_reproduce(args) -> int:
         "construction_equivalence": {
             "kraus_vs_circuit": res_kraus_circ,
             "circuit_variants": res_variants,
-            "tolerance": tol,
+            "tolerance": NOSIGNAL_TOL,
         },
         "analysis": dataclasses.asdict(report),
         "checks": {name: ok for name, ok in checks},
@@ -170,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rebuild the counterexample and rerun its verdicts")
     p.add_argument("--alpha", type=_alpha_arg, default=1.0 / 6.0)
-    p.add_argument("--tol", type=_tol_arg, default=NOSIGNAL_TOL)
     p.add_argument("--out", help="also write the JSON report to this file")
     p.set_defaults(func=cmd_reproduce)
 

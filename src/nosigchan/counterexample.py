@@ -18,11 +18,10 @@ K_x holds a single 1: the circuit only moves entries of the state, and
 alpha changes the state, not where its entries go.  Where they go is read
 off the K_x once per variant, as a flat index into the ancilla state; each
 call then gathers the four branches from that state at alpha.  Each branch
-is a Choi operator, so `build_r_alpha_circuit` sums them into the channel;
-`circuit_instrument` stacks them on an outcome wire instead.  The two
-routes share only the layouts and the range check on alpha.  A third route
-casts the family as a strict one-round classical-communication realization
-over a maximally entangled dim-4 ancilla pair.
+is a Choi operator, so `build_r_alpha_circuit` sums them into the channel.
+The two routes share only the layouts and the range check on alpha.  A
+third route casts the family as a strict one-round classical-communication
+realization over a maximally entangled dim-4 ancilla pair.
 """
 from __future__ import annotations
 
@@ -171,16 +170,8 @@ def _branches(alpha: float, variant: str) -> np.ndarray:
     return np.append(ancillas.ravel(), 0)[flat]
 
 
-def circuit_instrument(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
-    """The measurement circuit as an instrument: outcome x = 2m + n on the last output,
-    its branches (`_branches`) stacked on the outcome wire."""
-    return Channel(outcome_stack(_branches(alpha, variant), OUT_LAYOUT.total_dim,
-                                 IN_LAYOUT.total_dim), IN_LAYOUT, OUT_LAYOUT.concat(_OUTCOME))
-
-
 def build_r_alpha_circuit(alpha: float, variant: str = VARIANT_SIGMA_ON_A) -> Channel:
-    """Choi operator of the circuit: the sum of its branches, in outcome order, which is
-    the instrument with the outcome traced out, entry for entry."""
+    """Choi operator of the circuit: the sum of its branches, in outcome order."""
     c = Channel(_branches(alpha, variant).sum(axis=0), IN_LAYOUT, OUT_LAYOUT)
     dev = tp_residual(c.choi, c.out_layout, c.in_layout)
     if dev > TP_TOL:

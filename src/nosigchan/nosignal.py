@@ -30,6 +30,7 @@ from .tensor import (
 )
 from .channels import (
     CP_TOL,
+    TP_TOL,
     Channel,
     ChannelError,
     IN_TAG,
@@ -45,8 +46,6 @@ NOSIGNAL_TOL = 1e-9
 # Hermiticity, positivity and trace-preservation slack for the receiver-side
 # marginal that `check_nosignaling_dir` extracts once the factorization holds.
 MARGINAL_TOL = 1e-7
-# Trace-preservation slack for the channel `build_realization_cc` assembles.
-REALIZATION_TP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ def check_nosignaling_dir(
     c: Channel,
     sender_in_labels: Sequence[str],
     sender_out_labels: Sequence[str],
-    tol: float = NOSIGNAL_TOL,
 ):
     """Can the sender side signal to the rest?  Returns (no_signaling, residual).
 
@@ -127,7 +125,7 @@ def check_nosignaling_dir(
         c.choi, c.in_layout, c.out_layout, sender_in_labels, sender_out_labels
     )
     residual = float(np.max(np.abs(dev)))
-    ok = residual <= tol
+    ok = residual <= NOSIGNAL_TOL
     if ok:
         w = eigvalsh(s, tol=MARGINAL_TOL)
         tp_dev = tp_residual(s, s_out, s_in)
@@ -145,11 +143,10 @@ def signaling_verdict(
     a_out_labels: Sequence[str],
     b_in_labels: Sequence[str],
     b_out_labels: Sequence[str],
-    tol: float = NOSIGNAL_TOL,
 ) -> SignalingVerdict:
-    ok_a, res_a = check_nosignaling_dir(c, a_in_labels, a_out_labels, tol)
-    ok_b, res_b = check_nosignaling_dir(c, b_in_labels, b_out_labels, tol)
-    return SignalingVerdict(ok_a, ok_b, res_a, res_b, tol)
+    ok_a, res_a = check_nosignaling_dir(c, a_in_labels, a_out_labels)
+    ok_b, res_b = check_nosignaling_dir(c, b_in_labels, b_out_labels)
+    return SignalingVerdict(ok_a, ok_b, res_a, res_b, NOSIGNAL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def build_realization_cc(direction: str, sender: Channel, receiver: Channel) -> 
         out = Channel(regroup(out.choi, choi_layout(out.out_layout, out.in_layout),
                               [(l, 0) for l in legs], [(l, 1) for l in legs]), in_lay, out_lay)
     dev = tp_residual(out.choi, out.out_layout, out.in_layout)
-    if dev > REALIZATION_TP_TOL:
+    if dev > TP_TOL:
         raise ChannelError(f"realization is not trace-preserving: residual {dev:.3e}")
     return out
 

@@ -98,11 +98,6 @@ class SystemLayout:
     def relabel(self, suffix: str) -> "SystemLayout":
         return SystemLayout(tuple((l + suffix, d) for l, d in self.subsystems))
 
-    def permuted(self, order: Sequence[int]) -> "SystemLayout":
-        if sorted(order) != list(range(len(self))):
-            raise TensorError(f"not a permutation of {len(self)} positions: {order}")
-        return SystemLayout(tuple(self.subsystems[i] for i in order))
-
 
 def layout(*subsystems) -> SystemLayout:
     """Shorthand: layout(("A", 2), ("B", 2)) or layout("A", "B") for qubits."""
@@ -174,15 +169,6 @@ def regroup(m, lay: SystemLayout, rows, cols) -> np.ndarray:
     for a1, a2 in traces:
         t = np.trace(t, axis1=a1, axis2=a2)
     return np.ascontiguousarray(t.transpose(axes).reshape(out))
-
-
-def permute_to(m, lay: SystemLayout, target_labels: Sequence[str]):
-    """Reorder subsystems to the given label order; returns (matrix, layout)."""
-    target = tuple(target_labels)
-    if len(target) != len(lay):
-        raise TensorError("target label list must cover the whole layout")
-    out = regroup(m, lay, [(l, 0) for l in target], [(l, 1) for l in target])
-    return out, lay.select(target)
 
 
 def ptrace(m, lay: SystemLayout, traced_labels: Iterable[str]) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared fixtures and test helpers: random channels, instruments and states,
 `apply`, the channel's action read straight off its Choi operator,
 `choi_from_map`, which builds a Choi operator one matrix unit at a time,
+`reorder`, which puts an operator's subsystems in a new order with `regroup`,
 `identity_channel`, `prepare_channel`, the state-vector helpers
 `permute_vector` and `vector_bra_contract`, `gram_rank`,
 `face_dimension_by_basis`, `reference_deviation`, `pair_link_oracle`,
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from nosigchan.tensor import (SystemLayout, TensorError, as_matrix, eigh, kron, layout, max_entangled_vec,
-                              ptrace)
+                              ptrace, regroup)
 from nosigchan import counterexample
 from nosigchan.channels import (
     IN_TAG,
@@ -96,7 +97,12 @@ def permute_vector(v, lay: SystemLayout, target_labels: Sequence[str]):
     if len(order) != len(lay):
         raise TensorError("target label list must cover the whole layout")
     t = v.reshape(lay.dims).transpose(order)
-    return np.ascontiguousarray(t.reshape(-1)), lay.permuted(order)
+    return np.ascontiguousarray(t.reshape(-1)), lay.select(target_labels)
+
+
+def reorder(m, lay: SystemLayout, target_labels: Sequence[str]) -> np.ndarray:
+    """An operator on `lay` with its subsystems in the given label order."""
+    return regroup(m, lay, [(l, 0) for l in target_labels], [(l, 1) for l in target_labels])
 
 
 def vector_bra_contract(v, lay: SystemLayout, labels: Sequence[str], bra):

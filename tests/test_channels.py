@@ -1,6 +1,7 @@
 """Channels as Choi operators: construction routes, application, composition,
 Kraus round trips, and instruments as channels with a classical outcome wire."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from nosigchan import channels
 from nosigchan.counterexample import IN_LAYOUT, OUT_LAYOUT, build_r_alpha_kraus, kraus_operators
-from nosigchan.tensor import SystemLayout, eigh, kron, layout, max_entangled_vec, permute_to, ptrace
+from nosigchan.tensor import SystemLayout, eigh, kron, layout, max_entangled_vec, ptrace
 from nosigchan.channels import (
     OUT_TAG,
     Channel,
@@ -23,7 +24,7 @@ from nosigchan.channels import (
 )
 from conftest import (OUTCOME, PARITY_ALPHAS, apply, choi_from_map, identity_channel,
                       kraus_by_eigenpairs, prepare_channel, random_cptp, random_density,
-                      random_instrument)
+                      random_instrument, reorder)
 
 
 def random_unitary(rng, n):
@@ -103,6 +104,24 @@ def test_channel_from_kraus_takes_a_stacked_array(rng):
     for empty in ([], np.empty((0, 2, 2))):
         with pytest.raises(ChannelError, match="empty Kraus set"):
             channel_from_kraus(empty, layout("A"), layout("A"))
+
+
+def test_channel_from_kraus_rejects_wrong_shape():
+    # the operator maps inputs to outputs: (out dim, in dim), never transposed
+    for k, shape in ((np.eye(3), (3, 3)), (np.ones((2, 4)), (2, 4))):
+        with pytest.raises(ChannelError, match=re.escape(f"Kraus shape {shape}, expected (4, 2)")):
+            channel_from_kraus([k], layout("A"), layout("A", "B"))
+
+
+def test_kraus_from_choi_rejects_a_choi_that_is_not_cp():
+    # an eigenvalue below -CP_TOL is an error; one above it is clipped away
+    tol = channels.CP_TOL
+    for low in (-2 * tol, -1e-3):
+        c = Channel(np.diag([1.0, 1.0, 1.0, low]).astype(complex), layout("I"), layout("O"))
+        with pytest.raises(ChannelError, match=re.escape(f"Choi not CP: eigenvalue {low:.3e}")):
+            kraus_from_choi(c)
+    c = Channel(np.diag([1.0, 1.0, 1.0, -tol / 2]).astype(complex), layout("I"), layout("O"))
+    assert len(kraus_from_choi(c)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +251,8 @@ def apply_first(c, rho, rest):
     return out.reshape(c.d_out * rest, c.d_out * rest)
 
 
-def reorder(m, legs, dims, target):
-    lay = SystemLayout(tuple(zip(legs, dims)))
-    return permute_to(m, lay, target)[0]
+def reorder_legs(m, legs, dims, target):
+    return reorder(m, SystemLayout(tuple(zip(legs, dims))), target)
 
 
 def link_oracle(first, second, over):
@@ -248,9 +266,9 @@ def link_oracle(first, second, over):
 
     def fn(rho):
         s = apply_first(first, rho, q.total_dim)  # (first.out, Q)
-        s = reorder(s, mid, first.out_layout.dims + q.dims, fed + p1)
+        s = reorder_legs(s, mid, first.out_layout.dims + q.dims, fed + p1)
         t = apply_first(second, s, p.total_dim)  # (second.out, P)
-        return reorder(t, o2 + p1, second.out_layout.dims + p.dims, p1 + o2)
+        return reorder_legs(t, o2 + p1, second.out_layout.dims + p.dims, p1 + o2)
 
     return choi_from_map(fn, first.in_layout.concat(q), p.concat(second.out_layout))
 

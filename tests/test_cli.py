@@ -176,8 +176,7 @@ def test_reproduce_alpha_two_thirds(capsys):
 
 def test_main_calls_share_no_option_values(capsys, tmp_path):
     first = tmp_path / "first.json"
-    code, _, _ = run_cli(capsys, "reproduce", "--alpha", "0.25", "--tol", "1e-3",
-                         "--out", str(first))
+    code, _, _ = run_cli(capsys, "reproduce", "--alpha", "0.25", "--out", str(first))
     assert code == 1 and first.exists()
     first.unlink()
     code, out, _ = run_cli(capsys, "reproduce")
@@ -193,11 +192,13 @@ def test_main_calls_share_no_option_values(capsys, tmp_path):
     assert json.loads(out)["file"] == str(exported)
 
 
-def test_reproduce_tol_must_be_finite_and_positive(capsys):
-    for bad in ("nan", "-1"):
+def test_reproduce_rejects_tol(capsys):
+    # the verdicts read one tolerance, NOSIGNAL_TOL; no option overrides it
+    for value in ("1e-3", "1e-9"):
         with pytest.raises(SystemExit) as exc:
-            main(["reproduce", "--tol", bad])
+            main(["reproduce", "--tol", value])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_reproduce_alpha_out_of_range(capsys):

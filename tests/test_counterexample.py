@@ -12,7 +12,6 @@ from nosigchan.tensor import (
     layout,
     max_entangled_vec,
     pauli,
-    permute_to,
     ptrace,
 )
 from nosigchan.channels import OUT_TAG, Channel, ChannelError, choi_layout, link, outcome_stack
@@ -26,7 +25,6 @@ from nosigchan.counterexample import (
     build_r_alpha_circuit,
     build_r_alpha_kraus,
     build_r_alpha_realization,
-    circuit_instrument,
     kraus_operators,
     pair_state_vec,
     realization_spec,
@@ -34,9 +32,17 @@ from nosigchan.counterexample import (
 from nosigchan.counterexample import (_OUTCOME, _P0, _P1, _check_alpha, _controlled_sigma_x,
                                       _nielsen_filters)
 from conftest import (PARITY_ALPHAS, apply, choi_from_map, gather_by_index_loop, permute_vector,
-                      random_density, vector_bra_contract)
+                      random_density, reorder, vector_bra_contract)
 
 ALPHA_GRID = [0.0, 1.0 / 6.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def instrument(alpha, variant=VARIANT_SIGMA_ON_A) -> Channel:
+    """The measurement circuit as an instrument: its gathered branches
+    (`counterexample._branches`) stacked on an outcome wire x = 2m + n, the
+    last output."""
+    return Channel(outcome_stack(counterexample._branches(alpha, variant), OUT_LAYOUT.total_dim,
+                                 IN_LAYOUT.total_dim), IN_LAYOUT, OUT_LAYOUT.concat(_OUTCOME))
 
 
 def test_layout_constants():
@@ -57,13 +63,13 @@ def test_alpha_range_checked():
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError, match="alpha must lie in"):
             build_r_alpha_kraus(bad)
-        for route in (circuit_instrument, build_r_alpha_circuit):
+        for route in (instrument, build_r_alpha_circuit):
             with pytest.raises(ValueError, match=rf"alpha must lie in \[0, 1\], got {bad}$"):
                 route(bad)
 
 
 def test_unknown_variant_rejected():
-    for route in (circuit_instrument, build_r_alpha_circuit):
+    for route in (instrument, build_r_alpha_circuit):
         with pytest.raises(ValueError, match="^unknown variant 'sigma_on_C'$"):
             route(0.5, "sigma_on_C")
 
@@ -117,7 +123,7 @@ def test_choi_is_cptp_with_unnormalized_trace():
 
 
 def test_circuit_instrument_is_valid():
-    ins = circuit_instrument(1.0 / 6.0).validate()
+    ins = instrument(1.0 / 6.0).validate()
     assert ins.in_layout.labels == IN_LAYOUT.labels
     assert ins.out_layout.labels[:-1] == OUT_LAYOUT.labels
     assert ins.out_layout.dims[-1] == 4  # outcome x = 2m + n
@@ -127,7 +133,7 @@ def test_outcome_probabilities_match_branch_traces():
     # On the maximally mixed input the branch probability is the branch-Choi
     # trace divided by the input dimension: the outcome wire's diagonal.
     alpha = 0.3
-    ins = circuit_instrument(alpha)
+    ins = instrument(alpha)
     lay = choi_layout(ins.out_layout, ins.in_layout)
     wire = ins.out_layout.labels[-1] + OUT_TAG
     marg = ptrace(ins.choi, lay, [l for l in lay.labels if l != wire]) / 4.0
@@ -243,11 +249,11 @@ def instrument_by_matrix_units(alpha, variant):
 
         def fn(rho, bra=bra, fire=(x == 3)):
             s = e_op @ kron(rho, ancillas) @ e_op.conj().T
-            s = permute_to(s, lay6, ["X_A", "X_B", "A", "B", "W_A", "W_B"])[0]
+            s = reorder(s, lay6, ["X_A", "X_B", "A", "B", "W_A", "W_B"])
             s = kron(bra.conj().reshape(1, 4), np.eye(16)) @ s @ kron(bra.reshape(4, 1), np.eye(16))
             if fire:
                 s = sigma @ s @ sigma.conj().T
-            return permute_to(s, lay4, OUT_LAYOUT.labels)[0]
+            return reorder(s, lay4, OUT_LAYOUT.labels)
 
         branches.append(choi_from_map(fn, IN_LAYOUT, OUT_LAYOUT).choi)
     return outcome_stack(branches, OUT_LAYOUT.total_dim, IN_LAYOUT.total_dim)
@@ -319,7 +325,7 @@ def test_kraus_operators_equal_state_vector_simulation():
 @pytest.mark.parametrize("variant", [VARIANT_SIGMA_ON_A, VARIANT_SIGMA_ON_B])
 def test_circuit_equals_matrix_unit_simulation(variant):
     for alpha in PARITY_ALPHAS:
-        ins = circuit_instrument(alpha, variant)
+        ins = instrument(alpha, variant)
         want = instrument_by_matrix_units(alpha, variant)
         assert np.array_equal(ins.choi, want), alpha
         lay = choi_layout(ins.out_layout, ins.in_layout)
@@ -368,20 +374,20 @@ def test_gather_equals_index_loop(variant):
 def test_first_and_later_calls_agree(variant, cold_entry_map):
     for alpha in MAP_ALPHAS:
         counterexample._entry_map.cache_clear()
-        first = circuit_instrument(alpha, variant).choi
-        assert np.array_equal(circuit_instrument(alpha, variant).choi, first), alpha
+        first = instrument(alpha, variant).choi
+        assert np.array_equal(instrument(alpha, variant).choi, first), alpha
 
 
 def test_warm_calls_do_not_simulate(monkeypatch, cold_entry_map):
-    warm = {v: circuit_instrument(0.3, v).choi for v in VARIANTS}
+    warm = {v: instrument(0.3, v).choi for v in VARIANTS}
 
     def no_gate(d):
         raise AssertionError("derived the entry map again after warm-up")
 
     monkeypatch.setattr(counterexample, "controlled_swap", no_gate)
     for v in VARIANTS:
-        assert np.array_equal(circuit_instrument(0.3, v).choi, warm[v])
-        circuit_instrument(0.7, v).validate()
+        assert np.array_equal(instrument(0.3, v).choi, warm[v])
+        instrument(0.7, v).validate()
 
 
 def test_entry_map_is_read_only():
@@ -401,7 +407,7 @@ def test_non_permutation_gate_is_rejected(variant, monkeypatch, cold_entry_map):
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     monkeypatch.setattr(counterexample, "controlled_swap",
                         lambda d: kron(hadamard, np.eye(d * d)) @ controlled_swap(d))
-    for route in (circuit_instrument, build_r_alpha_circuit):
+    for route in (instrument, build_r_alpha_circuit):
         with pytest.raises(ChannelError, match="does not just move"):
             route(0.3, variant)
 
@@ -412,7 +418,7 @@ def test_phase_gate_is_rejected(variant, monkeypatch, cold_entry_map):
     # flips some, so the outcome operators hold -1s
     monkeypatch.setattr(counterexample, "controlled_swap",
                         lambda d: kron(np.diag([1, -1]), np.eye(d * d)) @ controlled_swap(d))
-    for route in (circuit_instrument, build_r_alpha_circuit):
+    for route in (instrument, build_r_alpha_circuit):
         with pytest.raises(ChannelError, match="does not just move"):
             route(0.3, variant)
 
@@ -443,7 +449,7 @@ def test_alpha_one_passes_inputs_through():
     w00[0, 0] = 1
     lay = layout("A", "B", "W_A", "W_B")
     want = kron(rho, w00)
-    want_perm, _ = permute_to(want, lay, ["A", "W_A", "W_B", "B"])
+    want_perm = reorder(want, lay, ["A", "W_A", "W_B", "B"])
     assert np.allclose(out, want_perm)
 
 

@@ -402,6 +402,16 @@ def test_realization_rejects_quantum_message(rng):
         build_realization_cc(direction, dephased, receiver).validate()
 
 
+def test_realization_rejects_receiver_that_is_not_trace_preserving(rng):
+    # the pieces are linked as given; the assembled channel's TP check catches
+    # a receiver that keeps only half the weight
+    for direction in ("A_to_B", "B_to_A"):
+        sender, receiver = _parties(rng, direction)
+        half = Channel(receiver.choi / 2, receiver.in_layout, receiver.out_layout)
+        with pytest.raises(ChannelError, match="^realization is not trace-preserving: residual "):
+            build_realization_cc(direction, sender, half)
+
+
 # ---------------------------------------------------------------------------
 # build_semilocalizable
 

@@ -24,14 +24,13 @@ from nosigchan.tensor import (
     layout,
     max_entangled_vec,
     pauli,
-    permute_to,
     ptrace,
     ptranspose,
     regroup,
     shift_op,
     swap_op,
 )
-from conftest import (gram_rank, permute_vector, random_hermitian, random_state_vec,
+from conftest import (gram_rank, permute_vector, random_hermitian, random_state_vec, reorder,
                       vector_bra_contract)
 
 
@@ -56,7 +55,6 @@ def test_layout_basics():
     assert lay.select(["C", "B"]).dims == (2, 3)
     assert lay.concat(layout("D")).labels == ("A", "B", "C", "D")
     assert lay.relabel("#x").labels == ("A#x", "B#x", "C#x")
-    assert lay.permuted([2, 0, 1]).labels == ("C", "A", "B")
 
 
 def test_layout_errors():
@@ -79,8 +77,6 @@ def test_layout_errors():
         lay.index("Z")
     with pytest.raises(TensorError):
         lay.drop(["Z"])
-    with pytest.raises(TensorError):
-        lay.permuted([0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -95,30 +91,24 @@ def test_kron_first_factor_most_significant():
     assert k[1 * 3 + 2, 1 * 3 + 2] == 2.0 * 30.0
 
 
-def test_permute_to_matches_kron_reorder(rng):
+def test_regroup_reorder_matches_kron_reorder(rng):
     mats = [random_complex(rng, d) for d in (2, 3, 2)]
     lay = layout(("A", 2), ("B", 3), ("C", 2))
     m = kron(*mats)
-    got, play = permute_to(m, lay, ["C", "A", "B"])
+    got, play = reorder(m, lay, ["C", "A", "B"]), lay.select(["C", "A", "B"])
     want = kron(mats[2], mats[0], mats[1])
     assert play.labels == ("C", "A", "B")
     assert np.allclose(got, want)
 
 
-def test_permute_to_round_trip(rng):
+def test_regroup_reorder_round_trip(rng):
     lay = layout(("A", 2), ("B", 3), ("C", 4))
     m = random_complex(rng, lay.total_dim)
-    p, play = permute_to(m, lay, ["C", "A", "B"])
+    p, play = reorder(m, lay, ["C", "A", "B"]), lay.select(["C", "A", "B"])
     assert play.labels == ("C", "A", "B")
-    back, blay = permute_to(p, play, ["A", "B", "C"])
+    back, blay = reorder(p, play, ["A", "B", "C"]), play.select(["A", "B", "C"])
     assert blay.labels == lay.labels
     assert np.allclose(back, m)
-
-
-def test_permute_to_requires_full_cover(rng):
-    lay = layout("A", "B")
-    with pytest.raises(TensorError):
-        permute_to(np.eye(4), lay, ["A"])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def test_repeated_label_is_rejected(rng):
     with pytest.raises(TensorError):
         ptranspose(m, lay, ["A", "A"])
     with pytest.raises(TensorError):
-        permute_to(m, lay, ["A", "A"])
+        reorder(m, lay, ["A", "A"])
 
 
 def test_regroup_rejects_bad_legs(rng):
@@ -362,7 +352,7 @@ def test_embed_single_and_multi(rng):
     two = random_complex(rng, 4)
     # acting on (C, A) in that order
     got = embed(two, ["C", "A"], lay)
-    want, _ = permute_to(kron(two, np.eye(3)), layout(("C", 2), ("A", 2), ("B", 3)), lay.labels)
+    want = reorder(kron(two, np.eye(3)), layout(("C", 2), ("A", 2), ("B", 3)), lay.labels)
     assert np.allclose(got, want)
 
 
